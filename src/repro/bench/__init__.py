@@ -61,7 +61,6 @@ from .parallel import (
     SweepBlock,
     partition_blocks,
     resolve_block_timeout,
-    resolve_work_stealing,
     resolve_workers,
     run_sweep_parallel,
     semantic_shard_order,
@@ -95,7 +94,6 @@ __all__ = [
     "CheckpointStore",
     "partition_blocks",
     "resolve_block_timeout",
-    "resolve_work_stealing",
     "resolve_workers",
     "stderr_progress",
     "cached_sweep",

@@ -12,22 +12,20 @@ the plane is gone.  Each worker executes its block with the batched
 launcher and ships only the compact :class:`RunResult` list back.
 
 Because attaching a graph is free, the plane also unlocks a *finer* work
-unit: when there are more workers than (algorithm, graph) blocks, a block
-is split into **semantic shards** — disjoint subsets of its semantic style
-combinations, every mapping variant and device of each combination staying
+unit: when there are more workers than (algorithm, graph) blocks, every
+block is split into **semantic shards**, one per semantic style
+combination, every mapping variant and device of that combination staying
 with its shard.  Shard results are reassembled in the serial run order, so
 the split changes wall-clock time and nothing else.
 
-With surplus workers the shards are *work-stolen* rather than statically
-assigned: every block splits into its finest units (one shard per semantic
-group) and a pool of persistent workers pulls units from the supervisor's
-shared queue until it drains (:class:`_StealingPool`).  Semantic groups
-differ wildly in cost — a BFS frontier trace versus a one-launch TC pass —
-so static ceil(workers/blocks) sharding leaves late workers idle behind
-one expensive shard; pulling keeps every worker busy until the queue is
-empty, which is what lets ``--workers`` beyond the block count keep
-scaling.  ``$REPRO_WORK_STEALING=0`` (or ``work_stealing=False``) restores
-the static sharding + one-process-per-shard engine.
+Blocks and shards run through the package's one supervised worker pool
+(:class:`repro.runtime.workers.WorkerPool`).  Every whole block gets a
+freshly forked worker that exits after it, so the heap a big block leaves
+behind never outlives it.  Shards are many and small, so idle workers pull
+the next shard instead of forking per shard.  Semantic groups differ
+wildly in cost — a BFS frontier trace versus a one-launch TC pass — and
+pulling keeps every worker busy until the queue is empty, which is what
+lets ``--workers`` beyond the block count keep scaling.
 
 Unlike a bare process pool, the engine *supervises* its workers:
 
@@ -45,7 +43,8 @@ Unlike a bare process pool, the engine *supervises* its workers:
 * every healthy block streams to an atomic, checksummed checkpoint
   (:mod:`repro.bench.checkpoint`), so ``resume=True`` skips finished
   blocks after a crash or Ctrl-C;
-* SIGINT and dead workers always tear the worker set down cleanly.
+* SIGINT, SIGTERM and dead workers always tear the worker set down
+  cleanly.
 
 The simulator is deterministic by design, so the parallel engine is
 *bit-identical* to the serial path: blocks are reassembled in the serial
@@ -56,13 +55,10 @@ blocks in-process, in order.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import signal
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -73,6 +69,7 @@ from ..graph.datasets import DATASETS, EXTRA_DATASETS, load_all
 from ..graph.shm import SharedGraphHandle, SharedGraphPlane
 from ..runtime.errors import ErrorClass, FailedRun, error_digest
 from ..runtime.launcher import Launcher, RunResult
+from ..runtime.workers import WorkerPool, describe
 from ..styles.axes import Algorithm, Model
 from ..styles.combos import enumerate_specs
 from ..styles.spec import SemanticKey, StyleSpec
@@ -87,7 +84,6 @@ __all__ = [
     "semantic_shard_order",
     "shard_blocks",
     "resolve_workers",
-    "resolve_work_stealing",
     "run_sweep_parallel",
     "stderr_progress",
 ]
@@ -98,18 +94,11 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 #: Environment override for the per-block timeout (seconds, float).
 BLOCK_TIMEOUT_ENV = "REPRO_BLOCK_TIMEOUT"
 
-#: Environment toggle for the work-stealing shard scheduler (default on;
-#: ``0``/``false``/``no``/``off`` disable it).
-WORK_STEALING_ENV = "REPRO_WORK_STEALING"
-
 #: Default number of worker retries before the serial fallback.
 DEFAULT_MAX_RETRIES = 2
 
 #: First-retry backoff in seconds; doubles per retry.
 DEFAULT_RETRY_BACKOFF = 0.25
-
-#: Supervisor poll interval (seconds).
-_TICK = 0.05
 
 #: Called after each finished block: ``progress(done, total, block)``.
 ProgressFn = Callable[[int, int, "SweepBlock"], None]
@@ -243,32 +232,25 @@ def semantic_shard_order(
     return order
 
 
-def shard_blocks(
-    blocks: List[SweepBlock], workers: int, *, fine: bool = False
-) -> List[SweepBlock]:
-    """Split shared-memory-backed blocks into semantic shards.
+def shard_blocks(blocks: List[SweepBlock], workers: int) -> List[SweepBlock]:
+    """Split shared-memory-backed blocks into semantic shards, one per
+    semantic group.
 
     Only useful when workers would otherwise idle (``workers`` exceeds the
     block count) and only safe when the graph ships as a plane handle
     (attaching is free; rebuilding per shard would multiply graph-build
     time).  Shards of one block stay adjacent and ordered, which is what
-    lets :func:`run_sweep_parallel` reassemble serial run order.
-
-    ``fine=True`` splits every block into its finest units — one shard
-    per semantic group — for the work-stealing scheduler, whose dynamic
-    pulling makes many small units an advantage instead of a dispatch
-    cost.  The fine shard count depends only on the block (not on
-    ``workers``), so checkpoint keys stay stable across worker counts.
+    lets :func:`run_sweep_parallel` reassemble serial run order.  The
+    shard count depends only on the block (not on ``workers``), so
+    checkpoint keys stay stable across worker counts.
     """
     if workers <= len(blocks):
         return blocks
-    target = None if fine else -(-workers // len(blocks))  # ceil per block
     out: List[SweepBlock] = []
     for block in blocks:
         n = 1
         if block.shm_handle is not None and block.n_shards == 1:
-            n_groups = len(semantic_shard_order(block.algorithm, block.models))
-            n = n_groups if target is None else min(n_groups, target)
+            n = len(semantic_shard_order(block.algorithm, block.models))
         if n <= 1:
             out.append(block)
             continue
@@ -286,33 +268,6 @@ def _build_block_graph(block: SweepBlock) -> CSRGraph:
         return block.graph
     spec = {**DATASETS, **EXTRA_DATASETS}[block.graph_name]
     return spec.build(block.scale)
-
-
-def run_block(block: SweepBlock) -> List[RunResult]:
-    """Execute one block in the current process and return its runs.
-
-    This is the exact per-block body of the serial sweep (which is what
-    makes the two paths bit-identical); any failure propagates.  The
-    supervised engine goes through :func:`run_block_outcome` instead, which
-    captures per-variant failures and honours the fault-injection plan.
-    """
-    graph = _build_block_graph(block)
-    config = block.config
-    launcher = Launcher(
-        verify=block.verify,
-        budget=config.budget(),
-        trace_store=config.trace_store(),
-    )
-    runs: List[RunResult] = []
-    for model in block.models:
-        runs.extend(
-            sweep_block_runs(
-                launcher, block.specs_for(model), graph,
-                config.devices_for(model),
-            )
-        )
-    launcher.release(graph, block.algorithm)
-    return runs
 
 
 def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
@@ -392,15 +347,6 @@ def resolve_block_timeout(block_timeout: Optional[float]) -> Optional[float]:
     return block_timeout
 
 
-def resolve_work_stealing(work_stealing: Optional[bool]) -> bool:
-    """Work-stealing toggle: explicit argument, else ``$REPRO_WORK_STEALING``
-    (default on; ``0``/``false``/``no``/``off`` disable)."""
-    if work_stealing is not None:
-        return work_stealing
-    env = os.environ.get(WORK_STEALING_ENV, "").strip().lower()
-    return env not in ("0", "false", "no", "off")
-
-
 @contextmanager
 def _sigterm_as_interrupt():
     """Translate SIGTERM into :class:`KeyboardInterrupt` for one sweep.
@@ -445,482 +391,10 @@ def stderr_progress(done: int, total: int, block: SweepBlock) -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker supervision
-# ----------------------------------------------------------------------
-def _worker_main(conn, block: SweepBlock, attempt: int) -> None:
-    """Entry point of one supervised worker process."""
-    os.environ[faults.WORKER_ENV] = "1"
-    try:
-        outcome = run_block_outcome(block, attempt)
-    except BaseException as exc:  # report, then die; supervisor retries
-        try:
-            conn.send(
-                ("error", _classify_name(exc), f"{type(exc).__name__}: {exc}")
-            )
-            conn.close()
-        except Exception:
-            pass
-        os._exit(1)
-    try:
-        conn.send(("ok", outcome))
-        conn.close()
-    except Exception:
-        os._exit(1)
-
-
-def _classify_name(exc: BaseException) -> str:
-    from ..runtime.errors import classify_error
-
-    return classify_error(exc).value
-
-
-@dataclass
-class _Supervised:
-    """Book-keeping of one block while the supervisor owns it."""
-
-    index: int
-    block: SweepBlock
-    attempt: int = 0
-    process: Optional[multiprocessing.process.BaseProcess] = None
-    conn: Optional[object] = None
-    deadline: Optional[float] = None
-    ready_at: float = 0.0
-    message: Optional[tuple] = None
-
-
-class _Supervisor:
-    """Runs blocks in supervised worker processes with retry, timeout,
-    serial fallback, and quarantine."""
-
-    def __init__(
-        self,
-        *,
-        workers: int,
-        block_timeout: Optional[float],
-        max_retries: int,
-        retry_backoff: float,
-        on_block_done: Callable[[int, BlockOutcome], None],
-    ):
-        self.workers = workers
-        self.block_timeout = block_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.on_block_done = on_block_done
-        self.ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-
-    def run(self, tasks: List[_Supervised]) -> None:
-        queue: List[_Supervised] = list(tasks)
-        running: List[_Supervised] = []
-        try:
-            while queue or running:
-                now = time.monotonic()
-                for task in list(queue):
-                    if len(running) >= self.workers:
-                        break
-                    if task.ready_at <= now:
-                        queue.remove(task)
-                        self._start(task)
-                        running.append(task)
-                if not running:
-                    time.sleep(_TICK)
-                    continue
-                ready = multiprocessing.connection.wait(
-                    [t.conn for t in running], timeout=_TICK
-                )
-                now = time.monotonic()
-                finished: List[Tuple[_Supervised, bool]] = []
-                for task in running:
-                    if task.conn in ready:
-                        try:
-                            task.message = task.conn.recv()
-                        except (EOFError, OSError):
-                            task.message = None  # died before reporting
-                        finished.append((task, False))
-                    elif task.deadline is not None and now >= task.deadline:
-                        task.message = (
-                            "error",
-                            ErrorClass.TIMEOUT.value,
-                            f"block exceeded the {self.block_timeout:g}s "
-                            "per-block timeout",
-                        )
-                        finished.append((task, True))
-                for task, timed_out in finished:
-                    running.remove(task)
-                    self._reap(task, kill=timed_out)
-                    self._handle(task, queue)
-        except BaseException:
-            # SIGINT, a supervisor bug, anything: never leak workers.
-            for task in running:
-                self._reap(task, kill=True)
-            raise
-
-    # ------------------------------------------------------------------
-    def _start(self, task: _Supervised) -> None:
-        recv_conn, send_conn = self.ctx.Pipe(duplex=False)
-        task.process = self.ctx.Process(
-            target=_worker_main,
-            args=(send_conn, task.block, task.attempt),
-            daemon=True,
-        )
-        task.process.start()
-        # Close the parent's copy of the send end so a dead worker reads
-        # as EOF instead of a wait that never returns.
-        send_conn.close()
-        task.conn = recv_conn
-        task.message = None
-        task.deadline = (
-            None
-            if self.block_timeout is None
-            else time.monotonic() + self.block_timeout
-        )
-
-    def _reap(self, task: _Supervised, *, kill: bool) -> None:
-        process = task.process
-        if process is not None:
-            if kill and process.is_alive():
-                process.terminate()
-            process.join(timeout=5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-        if task.conn is not None:
-            task.conn.close()
-        task.conn = None
-
-    def _handle(self, task: _Supervised, queue: List[_Supervised]) -> None:
-        message = task.message
-        if message is not None and message[0] == "ok":
-            self.on_block_done(task.index, message[1])
-            return
-        if message is None:
-            exitcode = task.process.exitcode if task.process else None
-            error_class = ErrorClass.CRASH
-            detail = f"worker process died (exit code {exitcode})"
-        else:
-            error_class = ErrorClass(message[1])
-            detail = message[2]
-        if task.attempt < self.max_retries:
-            task.attempt += 1
-            task.ready_at = (
-                time.monotonic()
-                + self.retry_backoff * (2 ** (task.attempt - 1))
-            )
-            task.process = None
-            task.message = None
-            queue.append(task)
-            return
-        attempts = task.attempt + 1
-        if error_class is not ErrorClass.TIMEOUT:
-            # Serial fallback: run the block once in this process.  A
-            # worker-environment fault (killed process, broken fork) will
-            # succeed here; a genuine kernel bug will fail again.
-            try:
-                outcome = run_block_outcome(task.block, attempt=attempts)
-            except Exception as exc:
-                error_class = ErrorClass(_classify_name(exc))
-                detail = f"{type(exc).__name__}: {exc}"
-                attempts += 1
-            else:
-                self.on_block_done(task.index, outcome)
-                return
-        # Quarantine: the block is recorded as failed; the sweep goes on.
-        failure = FailedRun(
-            algorithm=task.block.algorithm.value,
-            graph=task.block.graph_name,
-            error_class=error_class,
-            message=detail,
-            digest=error_digest(error_class, detail),
-            stage="block",
-            attempts=attempts,
-        )
-        self.on_block_done(task.index, BlockOutcome(failures=[failure]))
-
-
-# ----------------------------------------------------------------------
-# Work-stealing pool
-# ----------------------------------------------------------------------
-def _stealing_worker_main(conn) -> None:
-    """Entry point of one persistent work-stealing worker.
-
-    The worker *pulls*: it announces readiness, receives one unit, runs
-    it, reports, and loops until the supervisor says stop.  Each reply
-    carries the unit index so the parent never has to guess which unit a
-    message belongs to after a respawn.
-    """
-    os.environ[faults.WORKER_ENV] = "1"
-    try:
-        conn.send(("ready",))
-        while True:
-            request = conn.recv()
-            if request[0] == "stop":
-                break
-            _, index, block, attempt = request
-            try:
-                outcome = run_block_outcome(block, attempt)
-            except BaseException as exc:
-                conn.send(
-                    (
-                        "error",
-                        index,
-                        _classify_name(exc),
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            else:
-                conn.send(("ok", index, outcome))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # parent gone or tearing down: just exit
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-    os._exit(0)
-
-
-@dataclass
-class _PoolWorker:
-    """One persistent worker process of the stealing pool."""
-
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    #: The unit this worker currently holds (None = idle or not yet ready).
-    task: Optional[_Supervised] = None
-    idle: bool = False
-    deadline: Optional[float] = None
-
-
-class _StealingPool:
-    """Runs fine shard units through a pool of persistent workers that
-    pull from a shared queue, with the same retry / timeout / serial
-    fallback / quarantine policy as :class:`_Supervisor`.
-
-    Dispatch is parent-driven over per-worker duplex pipes rather than a
-    shared ``multiprocessing.Queue``: killing a hung worker that holds
-    the queue's feeder lock would deadlock its siblings, while a pipe
-    dies with its worker.  Workers claim units by sending ``("ready",)``;
-    the parent replies with the next eligible unit (or ``("stop",)`` once
-    the queue drains), so units flow to whichever worker frees up first.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int,
-        unit_timeout: Optional[float],
-        max_retries: int,
-        retry_backoff: float,
-        on_unit_done: Callable[[int, BlockOutcome], None],
-    ):
-        self.workers = workers
-        self.unit_timeout = unit_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.on_unit_done = on_unit_done
-        self.ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-
-    def run(self, tasks: List[_Supervised]) -> None:
-        queue: List[_Supervised] = list(tasks)
-        unresolved = len(tasks)
-        pool: List[_PoolWorker] = [
-            self._spawn() for _ in range(min(self.workers, len(tasks)))
-        ]
-        try:
-            while unresolved > 0:
-                now = time.monotonic()
-                self._dispatch(pool, queue, now)
-                ready = multiprocessing.connection.wait(
-                    [w.conn for w in pool], timeout=_TICK
-                )
-                now = time.monotonic()
-                for worker in list(pool):
-                    if worker.conn in ready:
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            message = None  # worker died
-                        if message is None:
-                            unresolved -= self._crash(worker, pool, queue)
-                            continue
-                        if message[0] == "ready":
-                            worker.idle = True
-                            continue
-                        unresolved -= self._finish(worker, message, queue)
-                    elif (
-                        worker.deadline is not None and now >= worker.deadline
-                    ):
-                        unresolved -= self._timeout(worker, pool, queue)
-        finally:
-            # Orderly or not, never leak workers.
-            for worker in pool:
-                self._stop(worker)
-
-    # ------------------------------------------------------------------
-    def _spawn(self) -> _PoolWorker:
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        process = self.ctx.Process(
-            target=_stealing_worker_main, args=(child_conn,), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(process=process, conn=parent_conn)
-
-    def _dispatch(
-        self, pool: List[_PoolWorker], queue: List[_Supervised], now: float
-    ) -> None:
-        for worker in pool:
-            if not worker.idle:
-                continue
-            task = next((t for t in queue if t.ready_at <= now), None)
-            if task is None:
-                return
-            queue.remove(task)
-            try:
-                worker.conn.send(("task", task.index, task.block, task.attempt))
-            except (BrokenPipeError, OSError):
-                # Worker died between "ready" and dispatch; _crash on the
-                # next wait() pass will respawn it.  Requeue the unit.
-                queue.append(task)
-                worker.idle = False
-                continue
-            worker.task = task
-            worker.idle = False
-            worker.deadline = (
-                None
-                if self.unit_timeout is None
-                else now + self.unit_timeout
-            )
-
-    def _finish(
-        self, worker: _PoolWorker, message: tuple, queue: List[_Supervised]
-    ) -> int:
-        task = worker.task
-        worker.task = None
-        worker.deadline = None
-        worker.idle = True  # the worker loops straight back to recv
-        if task is None or message[1] != task.index:
-            return 0  # stale reply from a unit already resolved elsewhere
-        if message[0] == "ok":
-            self.on_unit_done(task.index, message[2])
-            return 1
-        return self._failed(
-            task, ErrorClass(message[2]), message[3], queue
-        )
-
-    def _crash(
-        self,
-        worker: _PoolWorker,
-        pool: List[_PoolWorker],
-        queue: List[_Supervised],
-    ) -> int:
-        """A worker's pipe hit EOF: reap it, respawn, fail its unit."""
-        task = worker.task
-        exitcode = worker.process.exitcode
-        self._stop(worker, kill=True)
-        pool.remove(worker)
-        pool.append(self._spawn())
-        if task is None:
-            return 0
-        return self._failed(
-            task,
-            ErrorClass.CRASH,
-            f"worker process died (exit code {exitcode})",
-            queue,
-        )
-
-    def _timeout(
-        self,
-        worker: _PoolWorker,
-        pool: List[_PoolWorker],
-        queue: List[_Supervised],
-    ) -> int:
-        task = worker.task
-        self._stop(worker, kill=True)
-        pool.remove(worker)
-        pool.append(self._spawn())
-        if task is None:
-            return 0
-        return self._failed(
-            task,
-            ErrorClass.TIMEOUT,
-            f"block exceeded the {self.unit_timeout:g}s per-block timeout",
-            queue,
-        )
-
-    def _failed(
-        self,
-        task: _Supervised,
-        error_class: ErrorClass,
-        detail: str,
-        queue: List[_Supervised],
-    ) -> int:
-        """Retry / serial fallback / quarantine — mirrors
-        :meth:`_Supervisor._handle`.  Returns resolved-unit count (0 when
-        the unit was requeued for retry)."""
-        if task.attempt < self.max_retries:
-            task.attempt += 1
-            task.ready_at = (
-                time.monotonic()
-                + self.retry_backoff * (2 ** (task.attempt - 1))
-            )
-            queue.append(task)
-            return 0
-        attempts = task.attempt + 1
-        if error_class is not ErrorClass.TIMEOUT:
-            try:
-                outcome = run_block_outcome(task.block, attempt=attempts)
-            except Exception as exc:
-                error_class = ErrorClass(_classify_name(exc))
-                detail = f"{type(exc).__name__}: {exc}"
-                attempts += 1
-            else:
-                self.on_unit_done(task.index, outcome)
-                return 1
-        failure = FailedRun(
-            algorithm=task.block.algorithm.value,
-            graph=task.block.graph_name,
-            error_class=error_class,
-            message=detail,
-            digest=error_digest(error_class, detail),
-            stage="block",
-            attempts=attempts,
-        )
-        self.on_unit_done(task.index, BlockOutcome(failures=[failure]))
-        return 1
-
-    def _stop(self, worker: _PoolWorker, *, kill: bool = False) -> None:
-        if not kill:
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        process = worker.process
-        if kill and process.is_alive():
-            process.terminate()
-        process.join(timeout=5)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=5)
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
-
-
-# ----------------------------------------------------------------------
 def run_sweep_parallel(
     config: SweepConfig = SweepConfig(),
     *,
     workers: Optional[int] = None,
-    chunksize: int = 1,  # kept for API compatibility; no longer used
     progress: Optional[ProgressFn] = None,
     graphs: Optional[Dict[str, CSRGraph]] = None,
     block_timeout: Optional[float] = None,
@@ -928,7 +402,6 @@ def run_sweep_parallel(
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     resume: bool = False,
     checkpoint_dir: Optional[str] = None,
-    work_stealing: Optional[bool] = None,
 ) -> StudyResults:
     """Run the configured sweep across supervised worker processes.
 
@@ -949,13 +422,9 @@ def run_sweep_parallel(
     ``resume=True`` retries exactly the quarantined blocks.
 
     When workers outnumber the (algorithm, graph) blocks, the surplus is
-    absorbed by the work-stealing shard scheduler (see the module
-    docstring): blocks split into their finest semantic units and a pool
-    of persistent workers pulls them from a shared queue.
-    ``work_stealing=None`` reads ``$REPRO_WORK_STEALING`` (default on);
-    ``False`` keeps the static sharding + one-process-per-shard engine.
+    absorbed by semantic shards (see the module docstring): blocks split
+    into one unit per semantic group and idle workers pull the next one.
     """
-    del chunksize  # block dispatch is per-process now
     block_timeout = resolve_block_timeout(block_timeout)
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -975,10 +444,6 @@ def run_sweep_parallel(
         blocks = partition_blocks(config, graphs_for_results)
         store = None  # custom graphs cannot be rebuilt on resume
     workers = resolve_workers(workers, len(blocks))
-    # Work-stealing engages only with surplus workers; the comparison uses
-    # the *unsharded* block count, so the decision (and hence the fine
-    # checkpoint keys) does not depend on the sharding it triggers.
-    stealing = resolve_work_stealing(work_stealing) and workers > len(blocks)
 
     # Publish the graphs once into the shared-memory plane: workers attach
     # read-only views instead of rebuilding (or unpickling) each graph,
@@ -997,7 +462,7 @@ def run_sweep_parallel(
             )
             for block in blocks
         ]
-        blocks = shard_blocks(blocks, workers, fine=stealing)
+        blocks = shard_blocks(blocks, workers)
     total = len(blocks)
 
     outcomes: Dict[int, BlockOutcome] = {}
@@ -1024,30 +489,40 @@ def run_sweep_parallel(
         if progress is not None:
             progress(done_count, total, blocks[index])
 
+    def give_up(
+        index: int, error_class: ErrorClass, detail: str, attempts: int
+    ) -> None:
+        """A block failed every worker attempt: run it once more in this
+        process (the serial fallback) unless it hung, else quarantine it.
+        A worker-environment fault (killed process, broken fork) succeeds
+        here; a genuine kernel bug fails again."""
+        block = blocks[index]
+        if error_class is not ErrorClass.TIMEOUT:
+            try:
+                record(index, run_block_outcome(block, attempt=attempts))
+                return
+            except Exception as exc:
+                error_class, detail = describe(exc)
+                attempts += 1
+        record(index, _quarantined(block, error_class, detail, attempts))
+
     todo = [i for i in range(total) if i not in outcomes]
     try:
         with _sigterm_as_interrupt():
-            if todo:
-                if workers == 1 or len(todo) == 1:
-                    _run_blocks_inprocess(blocks, todo, record)
-                elif stealing:
-                    pool = _StealingPool(
-                        workers=workers,
-                        unit_timeout=block_timeout,
-                        max_retries=max_retries,
-                        retry_backoff=retry_backoff,
-                        on_unit_done=record,
-                    )
-                    pool.run([_Supervised(i, blocks[i]) for i in todo])
-                else:
-                    supervisor = _Supervisor(
-                        workers=workers,
-                        block_timeout=block_timeout,
-                        max_retries=max_retries,
-                        retry_backoff=retry_backoff,
-                        on_block_done=record,
-                    )
-                    supervisor.run([_Supervised(i, blocks[i]) for i in todo])
+            if workers == 1 or len(todo) == 1:
+                _run_blocks_inprocess(blocks, todo, record)
+            elif todo:
+                WorkerPool(
+                    run_block_outcome,
+                    on_done=record,
+                    on_failure=give_up,
+                    workers=workers,
+                    timeout=block_timeout,
+                    max_retries=max_retries,
+                    retry_backoff=retry_backoff,
+                    # A whole block gets a fresh worker; shards reuse one.
+                    reuse=lambda block: block.n_shards > 1,
+                ).run((i, blocks[i]) for i in todo)
     finally:
         if plane is not None:
             plane.close()
@@ -1109,22 +584,24 @@ def _run_blocks_inprocess(
     a block that raises is quarantined directly.
     """
     for index in todo:
-        block = blocks[index]
         try:
-            outcome = run_block_outcome(block)
+            outcome = run_block_outcome(blocks[index])
         except Exception as exc:
-            error_class = ErrorClass(_classify_name(exc))
-            detail = f"{type(exc).__name__}: {exc}"
-            outcome = BlockOutcome(
-                failures=[
-                    FailedRun(
-                        algorithm=block.algorithm.value,
-                        graph=block.graph_name,
-                        error_class=error_class,
-                        message=detail,
-                        digest=error_digest(error_class, detail),
-                        stage="block",
-                    )
-                ]
-            )
+            outcome = _quarantined(blocks[index], *describe(exc))
         record(index, outcome)
+
+
+def _quarantined(
+    block: SweepBlock, error_class: ErrorClass, detail: str, attempts: int = 1
+) -> BlockOutcome:
+    """A block recorded as failed; the sweep goes on without it."""
+    failure = FailedRun(
+        algorithm=block.algorithm.value,
+        graph=block.graph_name,
+        error_class=error_class,
+        message=detail,
+        digest=error_digest(error_class, detail),
+        stage="block",
+        attempts=attempts,
+    )
+    return BlockOutcome(failures=[failure])

@@ -374,17 +374,6 @@ def _add_workers_flag(sub) -> None:
         help="skip blocks already checkpointed by an interrupted run of "
              "the identical sweep",
     )
-    stealing = sub.add_mutually_exclusive_group()
-    stealing.add_argument(
-        "--work-stealing", dest="work_stealing", action="store_true",
-        default=None,
-        help="pull fine semantic shards from a shared queue when workers "
-             "outnumber blocks (default: $REPRO_WORK_STEALING, else on)",
-    )
-    stealing.add_argument(
-        "--no-work-stealing", dest="work_stealing", action="store_false",
-        help="statically assign shards, one worker process per shard",
-    )
     sub.add_argument(
         "--no-trace-cache", action="store_true",
         help="bypass the persistent semantic-trace store and re-execute "
@@ -467,7 +456,6 @@ def _supervision_kwargs(args) -> dict:
         workers=args.workers,
         block_timeout=args.block_timeout,
         resume=args.resume,
-        work_stealing=args.work_stealing,
     )
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries

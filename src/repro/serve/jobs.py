@@ -3,10 +3,10 @@
 A cold request needs a real sweep: run the requested algorithms over the
 client's graph on every requested model x device and time every style
 variant.  Kernels execute arbitrary simulated programs, so the service
-never runs them in its own process — each job attempt gets a dedicated
-worker process (fork + pipe, the same supervision idiom as
-:mod:`repro.bench.parallel`) that can crash, hang, or be killed without
-taking the event loop with it.
+never runs them in its own process — each job attempt is a one-worker,
+zero-retry :class:`~repro.runtime.workers.WorkerPool` (the same pool the
+sweep runs on): a freshly forked worker that can crash, hang, or be
+killed without taking the event loop with it.
 
 The executor retries environment-class failures (crash / timeout) with
 exponential backoff while the request's deadline allows, and reports the
@@ -24,25 +24,19 @@ test manufacture dying executors deterministically.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..graph.csr import CSRGraph
-from ..runtime.errors import ErrorClass, classify_error
+from ..runtime.errors import ErrorClass
 from ..runtime.launcher import Launcher
+from ..runtime.workers import WorkerPool
 from ..styles.axes import Algorithm, Model
 from ..styles.combos import enumerate_specs
 from .errors import ENVIRONMENT_CLASSES
 
 __all__ = ["SweepJob", "JobFailed", "ExecutorPool", "execute_job_inline"]
-
-#: Poll granularity of the supervision loop (seconds): fine enough that a
-#: deadline overrun is bounded, coarse enough to stay cheap.
-_POLL_SECONDS = 0.05
-
 
 @dataclass(frozen=True)
 class SweepJob:
@@ -156,38 +150,12 @@ def summarize_runs(runs, failures, kernel_executions: int) -> dict:
     }
 
 
-def _job_worker_main(conn, job: SweepJob, attempt: int) -> None:
-    """Worker entry point: run the job, send one outcome tuple, exit."""
-    import signal
-
-    from ..bench import faults
-
-    # The fork inherits the server's asyncio signal machinery: its
-    # SIGTERM/SIGINT handlers and — critically — the loop's signal wakeup
-    # fd, a socket pair shared with the parent.  Left in place, the
-    # SIGTERM the supervisor sends *this worker* during cleanup would be
-    # written into that shared pipe and read by the parent's event loop
-    # as "the server was signalled" — draining the whole service after
-    # every job.  Restore default dispositions before doing anything.
-    try:
-        signal.set_wakeup_fd(-1)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-    os.environ[faults.WORKER_ENV] = "1"
-    try:
-        payload = execute_job_inline(job, attempt=attempt)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 - must never escape the worker
-        error_class = classify_error(exc)
-        try:
-            conn.send(("error", error_class.value, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+def _job_body(unit, attempt: int = 0) -> dict:
+    """Pool body of one job attempt.  Every attempt is its own zero-retry
+    pool, so the pool's attempt counter is always 0 and the service's
+    attempt number travels with the job."""
+    job, number = unit
+    return execute_job_inline(job, attempt=number)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +207,7 @@ class ExecutorPool:
                     on_attempt(attempt)
                 try:
                     return await asyncio.to_thread(
-                        self._supervise_attempt, job, attempt, remaining
+                        _run_attempt, job, attempt, remaining
                     )
                 except JobFailed as exc:
                     self.attempts_failed += 1
@@ -263,74 +231,20 @@ class ExecutorPool:
                 "request deadline expired before the job could start",
             )
 
-    # -- blocking section, always called via asyncio.to_thread ---------
-    def _supervise_attempt(
-        self, job: SweepJob, attempt: int, timeout: float
-    ) -> dict:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_job_worker_main,
-            args=(child_conn, job, attempt),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        deadline = time.monotonic() + timeout
-        try:
-            while True:
-                if parent_conn.poll(_POLL_SECONDS):
-                    try:
-                        outcome = parent_conn.recv()
-                    except EOFError:
-                        raise JobFailed(
-                            ErrorClass.CRASH,
-                            f"worker for {job.graph.name} closed its pipe "
-                            "without a result",
-                            attempts=attempt,
-                        )
-                    return self._interpret(outcome, attempt)
-                if not proc.is_alive():
-                    # Dead worker may still have flushed its outcome.
-                    if parent_conn.poll(0):
-                        outcome = parent_conn.recv()
-                        return self._interpret(outcome, attempt)
-                    code = proc.exitcode
-                    raise JobFailed(
-                        ErrorClass.CRASH,
-                        f"worker for {job.graph.name} died "
-                        f"(exit code {code}) without reporting a result",
-                        attempts=attempt,
-                    )
-                if time.monotonic() > deadline:
-                    raise JobFailed(
-                        ErrorClass.TIMEOUT,
-                        f"job for {job.graph.name} exceeded its "
-                        f"{timeout:.1f}s deadline and was killed",
-                        attempts=attempt,
-                    )
-        finally:
-            parent_conn.close()
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=2.0)
-            else:
-                proc.join(timeout=2.0)
 
-    @staticmethod
-    def _interpret(outcome, attempt: int) -> dict:
-        if not isinstance(outcome, tuple) or not outcome:
-            raise JobFailed(
-                ErrorClass.CRASH, "worker sent a malformed outcome",
-                attempts=attempt,
-            )
-        if outcome[0] == "ok":
-            return outcome[1]
-        _, class_value, message = outcome
-        raise JobFailed(ErrorClass(class_value), message, attempts=attempt)
+def _run_attempt(job: SweepJob, attempt: int, timeout: float) -> dict:
+    """One job attempt in a one-worker, zero-retry pool, killed after
+    ``timeout`` seconds.  Blocking: always called via
+    :func:`asyncio.to_thread`."""
+    payloads = []
+
+    def failed(_key, error_class: ErrorClass, detail: str, _attempts) -> None:
+        raise JobFailed(error_class, detail, attempts=attempt)
+
+    WorkerPool(
+        _job_body,
+        on_done=lambda _key, payload: payloads.append(payload),
+        on_failure=failed,
+        timeout=timeout,
+    ).run([(0, (job, attempt))])
+    return payloads[0]

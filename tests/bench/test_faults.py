@@ -7,7 +7,9 @@ only failures can reveal are pinned down without any real flakiness.
 """
 
 import json
+import os
 import pickle
+import time
 
 import pytest
 
@@ -267,6 +269,83 @@ class TestBlockSupervision:
                     and r.graph == "soc-LiveJournal1")
         ]
         assert results.runs == expected
+
+
+#: Two cheap algorithms x the two REDUCED inputs: 4 whole blocks that
+#: split into 10 semantic shards (PR has 3 semantic groups, TC has 2).
+SMALL = SweepConfig(
+    scale="tiny",
+    algorithms=(Algorithm.PR, Algorithm.TC),
+    graphs=REDUCED.graphs,
+)
+
+
+class TestWorkerLifecycle:
+    """Which worker process runs which unit.  A worker kept across whole
+    blocks holds the heap the biggest one left behind, so whole blocks
+    must each get a fresh worker; shards are small and many, so they must
+    share workers instead of forking one each."""
+
+    @staticmethod
+    def log_worker_pids(monkeypatch, tmp_path):
+        from repro.bench import parallel
+
+        body = parallel.run_block_outcome
+        log = tmp_path / "pids"
+
+        def logged(block, attempt=0):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return body(block, attempt=attempt)
+
+        monkeypatch.setattr(parallel, "run_block_outcome", logged)
+        return log
+
+    def test_every_whole_block_gets_a_fresh_worker(
+        self, monkeypatch, tmp_path, clean
+    ):
+        log = self.log_worker_pids(monkeypatch, tmp_path)
+        results = run_sweep_parallel(
+            REDUCED, workers=2, checkpoint_dir=tmp_path / "ckpt"
+        )
+        assert run_signature(results) == run_signature(clean)
+        pids = log.read_text().split()
+        assert len(pids) == 4  # one per (algorithm, graph) block
+        assert len(set(pids)) == 4
+        assert str(os.getpid()) not in pids
+
+    def test_shards_reuse_workers(self, monkeypatch, tmp_path):
+        log = self.log_worker_pids(monkeypatch, tmp_path)
+        run_sweep_parallel(SMALL, workers=6, checkpoint_dir=tmp_path / "ckpt")
+        pids = log.read_text().split()
+        assert len(pids) == 10  # one per semantic shard
+        assert len(set(pids)) <= 6
+        assert str(os.getpid()) not in pids
+
+    def test_killed_shard_worker_is_reaped_without_a_stall(
+        self, monkeypatch, tmp_path
+    ):
+        """A hung shard under surplus workers is killed at its deadline,
+        and reaping the killed worker costs no extra join timeout: the
+        sweep's own signal handlers must not survive into its workers."""
+        arm(monkeypatch, {
+            "action": "hang", "algorithm": "tc", "graph": "soc-LiveJournal1",
+        })
+        timeout = 1.0
+        start = time.monotonic()
+        results = run_sweep_parallel(
+            SMALL, workers=6, checkpoint_dir=tmp_path,
+            block_timeout=timeout, max_retries=0,
+        )
+        elapsed = time.monotonic() - start
+        assert results.failures
+        assert all(
+            f.error_class is ErrorClass.TIMEOUT
+            and (f.algorithm, f.graph) == ("tc", "soc-LiveJournal1")
+            for f in results.failures
+        )
+        # Each stalled reap would add the pool's 5 s join on top.
+        assert elapsed < timeout + 4.0
 
 
 class TestCheckpointResume:

@@ -16,7 +16,7 @@ from repro.bench import (
     sweep_cache_key,
     sweep_cache_path,
 )
-from repro.bench.parallel import resolve_workers, run_block
+from repro.bench.parallel import resolve_workers, run_block_outcome
 from repro.graph import load_dataset
 from repro.machine import CPUModel, GPUModel, RTX_3090, THREADRIPPER_2950X
 from repro.runtime import Launcher
@@ -112,7 +112,7 @@ class TestParallelSweep:
 
     def test_run_block_is_the_serial_block_body(self):
         block = partition_blocks(REDUCED)[0]
-        runs = run_block(block)
+        runs = run_block_outcome(block).runs
         serial = run_sweep(block.config)
         assert runs == serial.runs
 
@@ -207,24 +207,9 @@ class TestSemanticShards:
 
 
 class TestWorkStealing:
-    """The stealing pool must be invisible in the results: byte-identical
-    runs and the same kernel executions at every worker count."""
-
-    def test_resolve_work_stealing(self, monkeypatch):
-        from repro.bench.parallel import resolve_work_stealing
-
-        assert resolve_work_stealing(True) is True
-        assert resolve_work_stealing(False) is False
-        monkeypatch.delenv("REPRO_WORK_STEALING", raising=False)
-        assert resolve_work_stealing(None) is True
-        for off in ("0", "false", "No", "OFF"):
-            monkeypatch.setenv("REPRO_WORK_STEALING", off)
-            assert resolve_work_stealing(None) is False
-        monkeypatch.setenv("REPRO_WORK_STEALING", "1")
-        assert resolve_work_stealing(None) is True
-        # Explicit argument wins over the environment.
-        monkeypatch.setenv("REPRO_WORK_STEALING", "0")
-        assert resolve_work_stealing(True) is True
+    """Shards pulled by idle workers must be invisible in the results:
+    byte-identical runs and the same kernel executions at every worker
+    count."""
 
     def test_fine_sharding_is_worker_count_independent(self):
         from dataclasses import replace
@@ -243,8 +228,8 @@ class TestWorkStealing:
             )
             for block in partition_blocks(REDUCED)
         ]
-        fine_8 = shard_blocks(blocks, workers=8, fine=True)
-        fine_32 = shard_blocks(blocks, workers=32, fine=True)
+        fine_8 = shard_blocks(blocks, workers=8)
+        fine_32 = shard_blocks(blocks, workers=32)
         # Checkpoint keys must not depend on the worker count.
         assert [b.key for b in fine_8] == [b.key for b in fine_32]
         # One shard per semantic group of each block.
@@ -262,19 +247,10 @@ class TestWorkStealing:
         for workers in (2, 16):
             stolen = run_sweep_parallel(
                 REDUCED, workers=workers,
-                checkpoint_dir=tmp_path / str(workers), work_stealing=True,
+                checkpoint_dir=tmp_path / str(workers),
             )
             assert run_signature(stolen) == run_signature(serial)
             assert stolen.kernel_executions == serial.kernel_executions
-
-    def test_static_engine_still_matches_serial(self, tmp_path):
-        serial = run_sweep(REDUCED)
-        static = run_sweep_parallel(
-            REDUCED, workers=16, checkpoint_dir=tmp_path,
-            work_stealing=False,
-        )
-        assert run_signature(static) == run_signature(serial)
-        assert static.kernel_executions == serial.kernel_executions
 
 
 class TestSelectIndices:

@@ -19,8 +19,8 @@ sweep-block workload (PR x soc-LiveJournal1 at tiny scale, all models
 and devices) timed under the per-spec scalar loop and under the
 vectorized ``Launcher.run_matrix`` path; the vectorized path must be
 bit-identical and beat the scalar loop by at least
-``--min-matrix-speedup``.  A work-stealing worker-scaling curve
-(``--scaling-workers``) is recorded alongside, unmated — CI runners have
+``--min-matrix-speedup``.  A worker-scaling curve of the parallel sweep
+(``--scaling-workers``) is recorded alongside, ungated — CI runners have
 too few cores for a meaningful gate.
 
 **Predict-then-verify pruning** (``BENCH_advisor.json``).  The style
@@ -133,7 +133,7 @@ def matrix_smoke(args) -> tuple:
     print(f"  per-spec {scalar_s:.4f}s, matrix {matrix_s:.4f}s, "
           f"speedup {speedup:.2f}x", flush=True)
 
-    print("perf smoke: work-stealing worker-scaling curve ...", flush=True)
+    print("perf smoke: parallel-sweep worker-scaling curve ...", flush=True)
     scaling_config = SweepConfig(
         scale="tiny",
         algorithms=(Algorithm.BFS, Algorithm.PR),
@@ -184,8 +184,7 @@ def matrix_smoke(args) -> tuple:
         ),
         "bit_identical": bit_identical,
         "worker_scaling": {
-            "config": "BFS+PR x 2 graphs (tiny), trace cache off, "
-                      "work stealing on",
+            "config": "BFS+PR x 2 graphs (tiny), trace cache off",
             "cpu_count": cpu_count,
             "skipped_oversubscribed": skipped_oversubscribed,
             "curve": curve,
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scaling-workers", type=int, nargs="+",
                         default=[1, 2, 4, 8, 16], metavar="N",
                         help="worker counts of the recorded (ungated) "
-                             "work-stealing scaling curve")
+                             "parallel-sweep scaling curve")
     parser.add_argument("--keep", action="store_true",
                         help="keep the temporary trace store for inspection")
     args = parser.parse_args(argv)
