@@ -3,10 +3,11 @@
 The conformance linter (PR 3) checks construct *presence* by substring;
 this module actually parses the emitted programs.  The pipeline is
 
-1. a **lexer** that strips comments and string literals while preserving
-   line numbers,
-2. a **structural parser** that brace-matches the token stream into a
-   tree of blocks, statements and preprocessor directives, and
+1. a **lexer**, one regex substitution, that blanks comments and
+   string/char literals while preserving line numbers,
+2. a **structural parser** that brace-matches the stream of structural
+   tokens into a tree of blocks, statements and preprocessor directives,
+   and
 3. a **region extractor** that lifts each parallel construct — CUDA
    ``__global__`` kernels, ``#pragma omp parallel for`` loops, and
    ``parallel_step`` C++-thread lambdas — into a
@@ -31,7 +32,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "AccessKind",
@@ -52,52 +53,31 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Lexer
 # ----------------------------------------------------------------------
+#: One comment or string/char literal.  Block comments and literals may
+#: run unterminated to the end of the text; a literal cut off right after
+#: its escaping backslash ends at that backslash (``\\?\Z``).
+_LEXEME_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*[\s\S]*?(?:\*/|\Z)"
+    r'|"[^"\\]*(?:\\[\s\S][^"\\]*)*(?:"|\\?\Z)'
+    r"|'[^'\\]*(?:\\[\s\S][^'\\]*)*(?:'|\\?\Z)"
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+_BRACE_RE = re.compile(r"[{}]")
+
+
+def _blank(m: re.Match) -> str:
+    s = m.group()
+    return _NOT_NEWLINE_RE.sub(" ", s) if "\n" in s else " " * len(s)
+
+
 def strip_comments(text: str) -> str:
     """Blank out comments and string/char literals, keeping the layout.
 
     Every replaced character becomes a space (newlines survive), so line
     numbers and column structure of the result match the input exactly.
     """
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif ch == "/" and nxt == "*":
-            out[i] = out[i + 1] = " "
-            i += 2
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-        elif ch in "\"'":
-            quote = ch
-            out[i] = " "
-            i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    out[i] = " "
-                    i += 1
-                    if i < n and text[i] != "\n":
-                        out[i] = " "
-                        i += 1
-                    continue
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i < n:
-                out[i] = " "
-                i += 1
-        else:
-            i += 1
-    return "".join(out)
+    return _LEXEME_RE.sub(_blank, text)
 
 
 def match_brace_block(text: str, open_index: int) -> int:
@@ -108,13 +88,13 @@ def match_brace_block(text: str, open_index: int) -> int:
     """
     assert text[open_index] == "{"
     depth = 0
-    for i in range(open_index, len(text)):
-        if text[i] == "{":
+    for m in _BRACE_RE.finditer(text, open_index):
+        if m.group() == "{":
             depth += 1
-        elif text[i] == "}":
+        else:
             depth -= 1
             if depth == 0:
-                return i + 1
+                return m.end()
     return len(text)
 
 
@@ -166,86 +146,115 @@ def _opens_block(pending: str) -> bool:
     return first in _BLOCK_HEADER_KEYWORDS or p.endswith("else")
 
 
+_TREE_TOKEN_RE = re.compile(r"[#{};()]")
+
+
 def _parse_tree(stripped: str) -> Block:
-    """Parse comment-stripped source into a root block."""
+    """Parse comment-stripped source into a root block.
+
+    Driven by the structural characters ``# { } ; ( )``.  The text since
+    the last statement, block or directive boundary is the pending buffer
+    ``stripped[start:i]``: its newlines read as spaces, except inside
+    brace initializers, which are kept verbatim.  A node's line is the
+    line of its first non-blank character.
+
+    A ``#`` that starts a buffer makes a :class:`Directive` of the rest
+    of its *physical* line: a ``\\``-continuation is not followed, and
+    the continued text parses as ordinary statements.  The generators
+    emit no continuation lines (none in the 3396 files of the two-width
+    suite).
+    """
     root = Block(header="", line=1)
     stack = [root]
+    children = root.children
     paren_stack: List[int] = []
-    buf: List[str] = []
-    buf_line = 1
-    line = 1
     paren = 0
-    i, n = 0, len(stripped)
+    n = len(stripped)
+    start = 0  # the pending buffer is stripped[start:i] ...
+    inits: List[Tuple[int, int]] = []  # ... minus these brace initializers
+    line, line_pos = 1, 0  # line number of stripped[line_pos]
+    pos = 0  # tokens before here were consumed by a directive or init
+    count = stripped.count
 
-    def flush_stmt() -> None:
-        nonlocal buf, buf_line
-        text = "".join(buf).strip()
-        if text:
-            stack[-1].children.append(Stmt(text=text, line=buf_line))
-        buf = []
-        buf_line = line
+    def buffer_text(end: int) -> str:
+        if not inits:
+            return stripped[start:end].replace("\n", " ")
+        parts, at = [], start
+        for s, e in inits:
+            parts.append(stripped[at:s].replace("\n", " "))
+            parts.append(stripped[s:e])
+            at = e
+        parts.append(stripped[at:end].replace("\n", " "))
+        return "".join(parts)
 
-    while i < n:
-        ch = stripped[i]
-        # Preprocessor directives own the rest of their (logical) line.
-        if ch == "#" and not "".join(buf).strip():
-            j = i
-            while j < n and stripped[j] != "\n":
-                j += 1
-            stack[-1].children.append(
-                Directive(text=stripped[i:j].strip(), line=line)
-            )
-            i = j
-            buf = []
-            buf_line = line
+    for m in _TREE_TOKEN_RE.finditer(stripped):
+        i = m.start()
+        if i < pos:
             continue
-        if ch == "\n":
-            line += 1
-            buf.append(" ")
-            if not "".join(buf).strip():
-                buf_line = line
-            i += 1
-            continue
+        pos = i + 1
+        ch = m.group()
         if ch == "(":
             paren += 1
-        elif ch == ")":
-            paren = max(0, paren - 1)
+            continue
+        if ch == ")":
+            if paren:
+                paren -= 1
+            continue
+        if ch == "#":
+            pending = stripped[start:i]
+            if pending and not pending.isspace():
+                continue  # mid-statement: an ordinary character
+            j = stripped.find("\n", i)
+            if j < 0:
+                j = n
+            line += count("\n", line_pos, i)
+            line_pos = i
+            children.append(Directive(text=stripped[i:j].strip(), line=line))
+            start = pos = j
+            inits = []
+            continue
         if ch == "{":
-            pending = "".join(buf)
+            pending = buffer_text(i)
             if _opens_block(pending):
                 # A lambda body inside a call ("parallel_step([&](int tid) {")
                 # opens at paren depth > 0; suspend the depth for its scope.
-                block = Block(header=pending.strip(), line=buf_line)
-                stack[-1].children.append(block)
+                header = pending.strip()
+                at = start + pending.index(header[0]) if header else i
+                line += count("\n", line_pos, at)
+                line_pos = at
+                block = Block(header=header, line=line)
+                children.append(block)
                 stack.append(block)
+                children = block.children
                 paren_stack.append(paren)
                 paren = 0
-                buf = []
-                buf_line = line
-                i += 1
+                start = pos
+                inits = []
                 continue
             # Brace initializer: consume inline up to the matching brace.
-            end = match_brace_block(stripped, i)
-            chunk = stripped[i:end]
-            line += chunk.count("\n")
-            buf.append(chunk)
-            i = end
+            pos = match_brace_block(stripped, i)
+            inits.append((i, pos))
             continue
-        if ch == "}" and paren == 0:
-            flush_stmt()
-            if len(stack) > 1:
-                stack.pop()
-                paren = paren_stack.pop() if paren_stack else 0
-            i += 1
+        if paren:  # "}" or ";" inside parentheses
             continue
-        if ch == ";" and paren == 0:
-            buf.append(";")
-            flush_stmt()
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    flush_stmt()
+        raw = buffer_text(pos if ch == ";" else i)
+        text = raw.strip()
+        if text:
+            at = start + raw.index(text[0])
+            line += count("\n", line_pos, at)
+            line_pos = at
+            children.append(Stmt(text=text, line=line))
+        start = pos
+        inits = []
+        if ch == "}" and len(stack) > 1:
+            stack.pop()
+            children = stack[-1].children
+            paren = paren_stack.pop()
+    raw = buffer_text(n)
+    text = raw.strip()
+    if text:
+        line += count("\n", line_pos, start + raw.index(text[0]))
+        children.append(Stmt(text=text, line=line))
     return root
 
 
@@ -383,7 +392,6 @@ class SourceIR:
 # Region extraction
 # ----------------------------------------------------------------------
 _GLOBAL_RE = re.compile(r"__global__\s+void\s+(\w+)")
-_FUNC_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*\($")
 _FOR_VAR_RE = re.compile(r"for\s*\(\s*(?:[\w:<>]+\s+)*?(\w+)\s*=")
 _FOR_CONT_RE = re.compile(r"for\s*\(\s*;\s*(\w+)")
 _DECL_RE = re.compile(
@@ -393,6 +401,19 @@ _DECL_RE = re.compile(
 _ASSIGN_RE = re.compile(r"(\*?\w+(?:\[[^\]]*\])?)\s*(?<![=!<>+\-*/%&|^])=(?!=)\s*")
 _INT_LITERAL_RE = re.compile(r"^[({\s]*-?\d+[)}\s]*$")
 _CAST_RE = re.compile(r"\((?:int|long long|val_t|rank_t|size_t|signed char)\)")
+_DECLARATOR_RE = re.compile(r"(\w+)\s*(?:=|;|$|\{|\[)")
+_WORD_RE = re.compile(r"\w+")
+_FOR_HEAD_RE = re.compile(r"\s*for\s*\(")
+_INLINE_FOR_RE = re.compile(r"\s*for\s*\(([^;]*);[^;]*;[^)]*\)\s*(.*)$")
+_REDUCTION_RE = re.compile(r"reduction\s*\(\s*[+*]\s*:\s*(\w+)")
+_WORKLIST_INDEX_RE = re.compile(r"^wl\s*\[")
+_ATOMIC_ADD_CALL_RE = re.compile(r"\batomicAdd\s*\(")
+_POST_INCREMENT_RE = re.compile(r"\w+\s*\+\+")
+_OPEN_BRACKET_END_RE = re.compile(r"\[\s*$")
+_OPEN_PAREN_END_RE = re.compile(r"\(\s*$")
+_TYPEDEF_RE = re.compile(r"typedef\s+(.+?)\s+(\w+)\s*;")
+_CALL_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
+_POINTER_PARAM_RE = re.compile(r"[*&]\s*(?:__restrict__\s+)?(\w+)\s*$")
 
 #: declaration keywords that precede a variable name
 _TYPE_WORDS = frozenset(
@@ -418,29 +439,35 @@ def _declared_names(stmt_text: str) -> List[str]:
         return []
     names = [m.group(1)]
     # Multi-declarations: "const int s = g.src_list[v], d = g.dst_list[v]".
-    for part in _split_top_level(t, ","):
+    for part in _split_top_level(t):
         part = part.strip()
-        pm = re.match(r"(\w+)\s*(?:=|;|$|\{|\[)", part)
+        pm = _DECLARATOR_RE.match(part)
         if pm and pm.group(1) not in _TYPE_WORDS and pm.group(1) not in names:
             # Only count pieces that look like follow-on declarators.
-            if "=" in part or re.fullmatch(r"\w+", part):
+            if "=" in part or _WORD_RE.fullmatch(part):
                 names.append(pm.group(1))
     return names
 
 
-def _split_top_level(text: str, sep: str) -> List[str]:
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([{<":
+_SPLIT_TOKEN_RE = re.compile(r"[(\[{<)\]}>,]")
+
+
+def _split_top_level(text: str) -> List[str]:
+    """Split on the commas outside ``()``, ``[]``, ``{}`` and ``<>``."""
+    if "," not in text:
+        return [text]
+    out, depth, start = [], 0, 0
+    for m in _SPLIT_TOKEN_RE.finditer(text):
+        ch = m.group()
+        if ch == ",":
+            if depth == 0:
+                out.append(text[start : m.start()])
+                start = m.end()
+        elif ch in "([{<":
             depth += 1
-        elif ch in ")]}>":
-            depth = max(0, depth - 1)
-        if ch == sep and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
+        elif depth:
+            depth -= 1
+    out.append(text[start:])
     return out
 
 
@@ -448,7 +475,7 @@ def _assignments(stmt_text: str) -> List[Tuple[str, str]]:
     """All top-level ``name = expr`` pairs in one statement."""
     pairs = []
     t = stmt_text.strip().rstrip(";")
-    for piece in _split_top_level(t, ","):
+    for piece in _split_top_level(t):
         m = _ASSIGN_RE.search(piece)
         if not m:
             continue
@@ -473,6 +500,8 @@ _PLAIN_ARRAY_RE = re.compile(r"\b(\w+)\s*\[")
 _LVALUE_HEAD_RE = re.compile(r"^\s*\*?\s*([\w.]+)")
 _WRITE_OP_RE = re.compile(r"\s*(\+\+|(?:[+\-*/|&^])?=(?!=))")
 _INLINE_HEAD_RE = re.compile(r"\s*(?:else\s+)?(for|if|while)\s*\(")
+_BARE_ELSE_RE = re.compile(r"\s*else\b(?!\s+(?:if|for|while)\b)")
+_BRACKET_RE = re.compile(r"[\[\]]")
 
 
 def _scan_bracket(text: str, start: int) -> Optional[int]:
@@ -481,14 +510,17 @@ def _scan_bracket(text: str, start: int) -> Optional[int]:
     Handles nested subscripts (``stat[g.nbr_list[k]]``), which a
     first-``]`` regex group silently truncates.
     """
+    close = text.find("]", start)
+    if close >= 0 and text.find("[", start + 1, close) < 0:
+        return close + 1  # no nested subscript
     depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "[":
+    for m in _BRACKET_RE.finditer(text, start):
+        if m.group() == "[":
             depth += 1
-        elif text[i] == "]":
+        else:
             depth -= 1
             if depth == 0:
-                return i + 1
+                return m.end()
     return None
 
 
@@ -553,7 +585,7 @@ def _peel_inline_heads(text: str) -> Tuple[int, List[str]]:
     statement; return (core start offset, peeled condition headers)."""
     conds: List[str] = []
     pos = 0
-    bare_else = re.match(r"\s*else\b(?!\s+(?:if|for|while)\b)", text)
+    bare_else = _BARE_ELSE_RE.match(text)
     if bare_else:
         pos = bare_else.end()
     while True:
@@ -617,7 +649,7 @@ class _RegionBuilder:
             kind=kind, name=name, line=line, pragma=pragma, item_var=None
         )
         self.body_parts: List[str] = []
-        red = re.search(r"reduction\s*\(\s*[+*]\s*:\s*(\w+)", pragma or "")
+        red = _REDUCTION_RE.search(pragma or "")
         self.reduction_vars = {red.group(1)} if red else set()
         self.capture_vars: set = set()
 
@@ -674,7 +706,7 @@ class _RegionBuilder:
     def scan_statement(self, stmt: Stmt, guard: Guard, condition: str) -> None:
         # Inline single-statement loops: "for (...) body;" — classify the
         # body with the loop var in scope.
-        if re.match(r"\s*for\s*\(", stmt.text):
+        if _FOR_HEAD_RE.match(stmt.text):
             var = _loop_var(stmt.text)
             self.region.loops.append(
                 Loop(
@@ -700,7 +732,7 @@ class _RegionBuilder:
         # A for-header is "init; test; step" — recording "test; step)" as
         # the induction variable's defining expression poisons every index
         # that resolves through it, so headers keep env.setdefault(var, var).
-        is_for_header = bool(re.match(r"\s*for\s*\(", text))
+        is_for_header = bool(_FOR_HEAD_RE.match(text))
         if not is_for_header:
             self.note_assignments(text, guard)
         consumed_spans: List[Tuple[int, int]] = []
@@ -709,8 +741,8 @@ class _RegionBuilder:
         for target, bracket, span, call_start in _iter_atomic_calls(text):
             kind = AccessKind.ATOMIC_RMW
             prefix = text[:call_start]
-            if _ASSIGN_RE.search(prefix.split(";")[-1]) or re.search(
-                r"[=(]\s*$", prefix.strip()[-1:] or ""
+            if _ASSIGN_RE.search(prefix.split(";")[-1]) or (
+                prefix.rstrip()[-1:] in ("=", "(")
             ):
                 kind = AccessKind.CAPTURE
             self.add_access(
@@ -858,9 +890,9 @@ class _RegionBuilder:
 
 def _is_capture_rhs(rhs: str) -> bool:
     return bool(
-        re.search(r"\batomicAdd\s*\(", rhs)
+        _ATOMIC_ADD_CALL_RE.search(rhs)
         or ".fetch_add(" in rhs
-        or re.search(r"\w+\s*\+\+", rhs)
+        or _POST_INCREMENT_RE.search(rhs)
     )
 
 
@@ -868,9 +900,9 @@ def _used_as_value(text: str, call_start: int) -> bool:
     """Whether a fetch_add/exchange result is consumed (index or compare)."""
     prefix = text[:call_start]
     return bool(
-        re.search(r"\[\s*$", prefix)
+        _OPEN_BRACKET_END_RE.search(prefix)
         or _ASSIGN_RE.search(prefix.split(";")[-1])
-        or re.search(r"\(\s*$", prefix)
+        or _OPEN_PAREN_END_RE.search(prefix)
         or "if" in prefix.split(";")[-1]
     )
 
@@ -894,7 +926,7 @@ def _classify_index(
         return IndexClass.NEIGHBOR
     if "src_list[" in e or "dst_list[" in e:
         return IndexClass.ENDPOINT
-    if re.match(r"^wl\s*\[", e):
+    if _WORKLIST_INDEX_RE.match(e):
         return IndexClass.WORKLIST
     if "threadIdx" in e or "blockIdx" in e or e in ("tid", "lane", "wid", "gidx"):
         return IndexClass.THREAD
@@ -939,7 +971,7 @@ def _extract_file_facts(
                             parts[2] if len(parts) > 2 else ""
                         )
             elif isinstance(child, Stmt):
-                m = re.match(r"typedef\s+(.+?)\s+(\w+)\s*;", child.text)
+                m = _TYPEDEF_RE.match(child.text)
                 if m:
                     typedefs[m.group(2)] = m.group(1)
             elif isinstance(child, Block):
@@ -947,7 +979,7 @@ def _extract_file_facts(
                 if "(" in header and not header.startswith(
                     ("for", "if", "while", "switch")
                 ):
-                    name_m = re.search(r"([A-Za-z_]\w*)\s*\(", header)
+                    name_m = _CALL_NAME_RE.search(header)
                     if name_m:
                         functions.append(
                             FunctionInfo(
@@ -970,9 +1002,9 @@ def _kernel_param_arrays(header: str) -> List[str]:
         return []
     params = header[header.index("(") + 1 :]
     out = []
-    for piece in _split_top_level(params.rstrip(") "), ","):
+    for piece in _split_top_level(params.rstrip(") ")):
         piece = piece.strip()
-        m = re.search(r"[*&]\s*(?:__restrict__\s+)?(\w+)\s*$", piece)
+        m = _POINTER_PARAM_RE.search(piece)
         if m:
             out.append(m.group(1))
     return out
@@ -983,7 +1015,7 @@ def _stmt_region(
 ) -> ParallelRegion:
     """A region whose whole body is one inline ``for (...) stmt;`` line."""
     builder = _RegionBuilder(kind, name, stmt.line, pragma)
-    m = re.match(r"\s*for\s*\(([^;]*);[^;]*;[^)]*\)\s*(.*)$", stmt.text)
+    m = _INLINE_FOR_RE.match(stmt.text)
     body = stmt.text
     if m:
         var = _loop_var(stmt.text)

@@ -40,13 +40,19 @@ def spec_for(alg, model, **conds):
     raise AssertionError(f"no spec for {alg}/{model}/{conds}")
 
 
+@pytest.fixture(scope="module")
+def full_suite_report(full_suite):
+    """One IR lint pass over the full suite, shared by the tests below."""
+    return lint_suite(full_suite, ir=True)
+
+
 class TestFullSuiteAgreement:
     """The tentpole acceptance criterion: for every file in the full
     generated suite, IR-inferred style == declared style on all 13 axes,
     cross-checked against the construct linter (three-way differential)."""
 
-    def test_full_suite_ir_clean(self, full_suite):
-        report = lint_suite(full_suite, ir=True)
+    def test_full_suite_ir_clean(self, full_suite_report):
+        report = full_suite_report
         assert report.checked == 1698
         assert report.errors == [], report.render_text()[:4000]
         # The only expected findings are the documented Section 2.5
@@ -54,10 +60,13 @@ class TestFullSuiteAgreement:
         assert {f.rule for f in report.findings} <= {"RACE-BENIGN"}
         assert report.ok
 
-    def test_benign_races_are_reported_not_hidden(self, full_suite):
-        report = lint_suite(full_suite, ir=True)
-        benign = [f for f in report.findings if f.rule == "RACE-BENIGN"]
-        assert benign, "the suite contains Section 2.5 races by design"
+    def test_benign_races_are_reported_not_hidden(self, full_suite_report):
+        benign = [
+            f for f in full_suite_report.findings if f.rule == "RACE-BENIGN"
+        ]
+        # The suite contains Section 2.5 races by design: docs/analysis.md
+        # counts 680 on the full 32-bit suite.
+        assert len(benign) == 680
         assert all(f.severity is Severity.NOTE for f in benign)
 
     @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
