@@ -20,8 +20,8 @@ import pytest
 
 from repro.graph import load_dataset
 from repro.kernels import BFSKernel
-from repro.machine import CPUModel, GPUModel, RTX_3090, THREADRIPPER_2950X
-from repro.machine.trace import IterationProfile
+from repro.machine import RTX_3090, THREADRIPPER_2950X, time_matrix
+from repro.machine.trace import ExecutionTrace, IterationProfile
 from repro.runtime import Launcher
 from repro.styles import (
     Algorithm,
@@ -55,6 +55,14 @@ def cuda_style(**kw):
     return StyleSpec(**base)
 
 
+def dram_launch_seconds(profile, style, device):
+    """Simulated seconds of one launch streaming from DRAM (its trace's
+    declared working set exceeds every cache)."""
+    trace = ExecutionTrace(n_vertices=10_000_000, n_edges=100_000_000)
+    trace.add(profile)
+    return float(time_matrix(trace, [style], [device])[0, 0])
+
+
 @pytest.fixture(scope="module")
 def soc_trace():
     graph = load_dataset("soc-LiveJournal1", "default")
@@ -67,18 +75,14 @@ def test_ablation_cache_tier(benchmark, soc_trace):
     """Without the L2 tier, the memory bound dominates and granularity
     stops mattering on cache-resident inputs."""
     graph, trace = soc_trace
-    model = GPUModel(RTX_3090)
 
     def measure():
-        with_cache = model.time_trace(trace, cuda_style())
+        with_cache = time_matrix(trace, [cuda_style()], [RTX_3090])[0, 0]
         # Ablate: pretend the working set exceeds the L2.
         ablated = dataclasses.replace(trace)
         ablated.n_vertices = 10_000_000
         ablated.n_edges = 100_000_000
-        without_cache = sum(
-            model.profile_cycles(p, cuda_style(), mem_bw=RTX_3090.mem_bytes_per_cycle)
-            for p in trace.profiles
-        ) / (RTX_3090.clock_ghz * 1e9)
+        without_cache = time_matrix(ablated, [cuda_style()], [RTX_3090])[0, 0]
         return with_cache, without_cache
 
     with_cache, without_cache = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -89,7 +93,6 @@ def test_ablation_cache_tier(benchmark, soc_trace):
 def test_ablation_contention(benchmark):
     """Zeroing the contention statistics visibly speeds up a hub-directed
     atomic launch — contention accounting is load-bearing."""
-    model = GPUModel(RTX_3090)
 
     def measure():
         base = IterationProfile(
@@ -101,19 +104,18 @@ def test_ablation_contention(benchmark):
             atomics_inner=1.0, conflict_extra=0.0, max_conflict=0,
         )
         return (
-            model.profile_cycles(base, cuda_style()),
-            model.profile_cycles(ablated, cuda_style()),
+            dram_launch_seconds(base, cuda_style(), RTX_3090),
+            dram_launch_seconds(ablated, cuda_style(), RTX_3090),
         )
 
     contended, uncontended = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(f"\ncontended: {contended:.0f} cyc, ablated: {uncontended:.0f} cyc")
+    print(f"\ncontended: {contended*1e6:.1f} us, ablated: {uncontended*1e6:.1f} us")
     assert contended > 1.2 * uncontended
 
 
 def test_ablation_omp_critical_minmax(benchmark):
     """Treating OpenMP min/max RMW as a plain atomic (the ablation) erases
     the 10-1000x read-write advantage of Figure 6b."""
-    model = CPUModel(THREADRIPPER_2950X)
     omp = StyleSpec(
         algorithm=Algorithm.SSSP, model=Model.OPENMP,
         omp_schedule=OmpSchedule.DEFAULT,
@@ -129,12 +131,13 @@ def test_ablation_omp_critical_minmax(benchmark):
             atomics_inner=1.0, atomic_minmax=False,
         )
         return (
-            model.profile_cycles(minmax, omp),
-            model.profile_cycles(plain, omp),
+            dram_launch_seconds(minmax, omp, THREADRIPPER_2950X),
+            dram_launch_seconds(plain, omp, THREADRIPPER_2950X),
         )
 
     critical, atomic = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print(f"\ncritical-realized: {critical:.0f} cyc, plain-atomic ablation: {atomic:.0f} cyc")
+    print(f"\ncritical-realized: {critical*1e6:.1f} us, "
+          f"plain-atomic ablation: {atomic*1e6:.1f} us")
     assert critical > 10 * atomic
 
 

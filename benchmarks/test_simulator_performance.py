@@ -7,7 +7,7 @@ the ratio statistics — the costs that bound a full-study sweep.
 The sweep-block benchmark at the bottom times one full (algorithm, graph)
 block end-to-end under both execution styles — per-spec ``Launcher.run``
 calls (the pre-batching sweep body) and the batched
-``sweep_block_runs``/``time_trace_batch`` path — and exports the numbers
+``sweep_block_runs``/``time_matrix`` path — and exports the numbers
 to ``BENCH_sweep.json`` at the repository root so future PRs can track
 the sweep-performance trajectory.
 """
@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench import SweepConfig, sweep_block_runs
 from repro.graph import load_dataset
-from repro.machine import CPUModel, GPUModel, RTX_3090, THREADRIPPER_2950X
+from repro.machine import RTX_3090, THREADRIPPER_2950X, time_matrix
 from repro.runtime import Launcher
 from repro.styles import Algorithm, Granularity, Model, enumerate_specs
 
@@ -71,21 +71,19 @@ def test_gpu_trace_timing(benchmark, social):
     launcher = Launcher()
     spec = cuda_spec(Algorithm.SSSP)
     trace = launcher.execute_semantic(spec, social).trace
-    model = GPUModel(RTX_3090)
     warp = spec.with_axis(granularity=Granularity.WARP)
 
-    seconds = benchmark(model.time_trace, trace, warp)
-    assert seconds > 0
+    seconds = benchmark(time_matrix, trace, [warp], [RTX_3090])
+    assert seconds[0, 0] > 0
 
 
 def test_cpu_trace_timing(benchmark, social):
     launcher = Launcher()
     omp = enumerate_specs(Algorithm.SSSP, Model.OPENMP)[0]
     trace = launcher.execute_semantic(omp, social).trace
-    model = CPUModel(THREADRIPPER_2950X)
 
-    seconds = benchmark(model.time_trace, trace, omp)
-    assert seconds > 0
+    seconds = benchmark(time_matrix, trace, [omp], [THREADRIPPER_2950X])
+    assert seconds[0, 0] > 0
 
 
 def test_launcher_cached_run(benchmark, road):
@@ -113,7 +111,8 @@ ROUNDS = 7
 
 
 def _block_per_spec(launcher, graph):
-    """The pre-batching sweep body: one Launcher.run per (spec, device)."""
+    """The pre-batching sweep body: one Launcher.run (a 1×1 matrix) per
+    (spec, device)."""
     runs = []
     for model in BLOCK_CONFIG.models:
         specs = enumerate_specs(BLOCK_CONFIG.algorithms[0], model)
@@ -125,7 +124,7 @@ def _block_per_spec(launcher, graph):
 
 
 def _block_batched(launcher, graph):
-    """The batched sweep body: one time_trace_batch pass per trace/device."""
+    """The batched sweep body: one time_matrix pass per trace."""
     runs = []
     for model in BLOCK_CONFIG.models:
         specs = enumerate_specs(BLOCK_CONFIG.algorithms[0], model)

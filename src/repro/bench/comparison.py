@@ -16,9 +16,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..machine.cpu import CPUModel
 from ..machine.devices import CPUS, GPUS
-from ..machine.gpu import GPUModel
+from ..machine.matrix import time_matrix
 from ..styles.axes import Algorithm, Model
 from ..styles.spec import StyleSpec
 from .baselines import BASELINES, baseline_trace
@@ -75,23 +74,24 @@ def baseline_speedups(
                 continue
             for graph_name, graph in results.graphs.items():
                 src = source if source is not None else int(np.argmax(graph.degrees))
+                ours = {
+                    device: results.get(best, device.name, graph_name)
+                    for device in devices
+                }
+                present = [d for d in devices if ours[d] is not None]
+                if not present:
+                    continue
                 base = baseline_trace(algorithm, graph, model, src)
-                for device in devices:
-                    ours = results.get(best, device.name, graph_name)
-                    if ours is None:
-                        continue
-                    model_obj = (
-                        GPUModel(device) if model.is_gpu else CPUModel(device)
-                    )
-                    base_seconds = model_obj.time_trace(base.trace, base.style)
-                    base_ges = graph.n_edges / base_seconds / 1e9
+                base_seconds = time_matrix(base.trace, [base.style], present)[0]
+                for device, seconds in zip(present, base_seconds):
+                    base_ges = graph.n_edges / float(seconds) / 1e9
                     cells.append(
                         SpeedupCell(
                             model=model,
                             algorithm=algorithm,
                             graph=graph_name,
                             device=device.name,
-                            ours_ges=ours.throughput_ges,
+                            ours_ges=ours[device].throughput_ges,
                             baseline_ges=base_ges,
                         )
                     )

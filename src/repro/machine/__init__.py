@@ -20,7 +20,6 @@ from .scheduling import (
     cpu_blocked_units,
     cpu_cyclic_units,
     gpu_units,
-    makespan,
 )
 from .specs import CPUSpec, GPUSpec
 from .trace import (
@@ -57,6 +56,5 @@ __all__ = [
     "gpu_units",
     "cpu_blocked_units",
     "cpu_cyclic_units",
-    "makespan",
     "WARP_WIDTH",
 ]

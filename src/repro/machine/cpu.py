@@ -40,7 +40,6 @@ from .scheduling import (
     cpu_blocked_units,
     cpu_cyclic_units,
     cpu_uniform_geometry,
-    makespan,
     stack_decompositions,
 )
 from .specs import CPUSpec
@@ -59,16 +58,6 @@ class CPUModel:
         self._bw_cache: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
-    def time_trace(self, trace: ExecutionTrace, style: StyleSpec) -> float:
-        """Simulated wall time in seconds for the whole program."""
-        if style.model is Model.CUDA:
-            raise ValueError("CPUModel times OpenMP / C++-threads specs only")
-        mem_bw = self._bandwidth_for(trace)
-        cycles = 0.0
-        for profile in trace.profiles:
-            cycles += self.profile_cycles(profile, style, mem_bw=mem_bw)
-        return self.spec.seconds(cycles)
-
     def _bandwidth_for(self, trace: ExecutionTrace) -> float:
         """L3-resident working sets stream at L3, not DRAM, speed.
 
@@ -91,17 +80,17 @@ class CPUModel:
     ) -> List[float]:
         """Simulated wall times of many mapping variants of one trace.
 
-        Bit-identical to calling :meth:`time_trace` per style, but computed
-        as one vectorized pass over the trace's
+        Computed as one vectorized pass over the trace's
         :class:`~repro.machine.trace.ProfileMatrix`: core (work + memory +
         contention) cycles are evaluated once per distinct
         (model, omp_schedule, cpp_schedule) combination as a per-step
         vector, reduction cycles once per reduction style, and styles
         gather their step columns by group index — a style whose mapping
         differs only in the reduction axis reuses the exact same core
-        floats.  The per-step cycle matrix is reduced over the step axis
-        with ``np.add.reduce``, which accumulates in the same
-        left-to-right order as the scalar loop.
+        floats.  The per-step cycle matrix is summed over the step axis
+        in step order (:meth:`~repro.machine.trace.ProfileMatrix.step_totals`),
+        so every result is bit-identical to the frozen scalar walk in
+        ``tests/machine/scalar_oracle.py``, whatever the batch size.
         """
         styles = list(styles)
         if not styles:
@@ -149,126 +138,10 @@ class CPUModel:
                     reds[style.cpu_reduction] = red
                 add[i] = core + red
             cycles[pm.nonzero] += add.T
-        totals = np.add.reduce(cycles, axis=0)
+        totals = pm.step_totals(cycles)
         return [float(s.seconds(t)) for t in totals]
 
-    def throughput(self, trace: ExecutionTrace, style: StyleSpec) -> float:
-        """Giga-edges per second (Section 4.5 metric)."""
-        return trace.n_edges / self.time_trace_batch(trace, [style])[0] / 1e9
-
     # ------------------------------------------------------------------
-    def profile_cycles(
-        self,
-        p: IterationProfile,
-        style: StyleSpec,
-        *,
-        mem_bw: Optional[float] = None,
-    ) -> float:
-        """Simulated cycles of one parallel step."""
-        s = self.spec
-        if mem_bw is None:
-            mem_bw = s.mem_bytes_per_cycle
-        region = (
-            s.cycles_region_omp
-            if style.model is Model.OPENMP
-            else s.cycles_region_cpp
-        )
-        if p.n_items == 0:
-            return region
-        core = self._core_cycles(p, style, mem_bw)
-        red_cycles = self._reduction_cycles(p, style)
-        return core + red_cycles + region
-
-    def _core_cycles(
-        self, p: IterationProfile, style: StyleSpec, mem_bw: float
-    ) -> float:
-        """Work + memory + contention cycles of one step — everything except
-        the reduction style and the parallel-region overhead.  Depends on
-        the style only through (model, omp_schedule, cpp_schedule), which is
-        what makes batch sharing possible."""
-        s = self.spec
-        cyclic = style.cpp_schedule is CppSchedule.CYCLIC
-        load_factor = s.cyclic_locality_factor if cyclic else 1.0
-
-        # OpenMP realizes min/max RMW as critical sections, which serialize
-        # chip-wide; everything else stays in the per-item coefficients.
-        minmax_critical = style.model is Model.OPENMP and p.atomic_minmax
-        atomic_cost = 0.0 if minmax_critical else s.cycles_atomic
-
-        alpha = (
-            p.base_cycles * s.cycles_compute
-            + p.struct_loads_base * s.cycles_load * load_factor
-            + p.shared_loads_base * s.cycles_load
-            + p.shared_stores_base * s.cycles_store
-            + p.atomics_base * atomic_cost
-        )
-        beta = (
-            p.inner_cycles * s.cycles_compute
-            + p.struct_loads_inner * s.cycles_load * load_factor
-            + p.shared_loads_inner * s.cycles_load
-            + p.shared_stores_inner * s.cycles_store
-            + p.atomics_inner * atomic_cost
-        )
-
-        work_cycles = self._schedule_cycles(p, style, alpha, beta)
-
-        serial_cycles = 0.0
-        if minmax_critical:
-            serial_cycles += p.total_atomics * s.cycles_critical
-
-        mem_cycles = self._memory_cycles(p, load_factor, mem_bw)
-
-        overlap = min(1.0, s.threads / p.n_items)
-        conflict_cycles = p.conflict_extra * s.cycles_atomic_conflict * overlap
-        hot_cycles = p.hot_atomics * s.cycles_hot_atomic
-
-        return (
-            max(work_cycles, mem_cycles)
-            + serial_cycles
-            + conflict_cycles
-            + hot_cycles
-        )
-
-    # ------------------------------------------------------------------
-    def _schedule_cycles(
-        self, p: IterationProfile, style: StyleSpec, alpha: float, beta: float
-    ) -> float:
-        """Makespan under the spec's scheduling policy."""
-        s = self.spec
-        if style.model is Model.OPENMP and style.omp_schedule is OmpSchedule.DYNAMIC:
-            # Greedy dynamic scheduling: classic bound (balanced up to the
-            # longest single chunk) plus dispatch overhead.  Every chunk
-            # grab is a fetch-add on the shared loop counter — a hot
-            # atomic that serializes across the chip — plus some per-chunk
-            # bookkeeping that runs inside the grabbing thread.
-            total = alpha * p.n_items + beta * p.total_inner
-            if p.inner is not None and p.inner.size:
-                longest_item = alpha + beta * float(p.inner.max())
-            else:
-                longest_item = alpha
-            chunk = max(1, s.dynamic_chunk)
-            n_chunks = -(-p.n_items // chunk)
-            # The loop counter only becomes a serialization point when
-            # threads finish chunks faster than the counter can hand new
-            # ones out; pressure is the ratio of grab rate to service rate.
-            body = max(total / n_chunks, 1.0)
-            pressure = min(1.0, s.threads * s.cycles_hot_atomic / body)
-            dispatch_serial = n_chunks * s.cycles_hot_atomic * pressure
-            dispatch_local = n_chunks * s.cycles_dynamic_dispatch / s.threads
-            return (
-                total / s.threads
-                + longest_item * chunk
-                + dispatch_serial
-                + dispatch_local
-            )
-
-        units = self._units(p, style)
-        total, longest = units.times(alpha, beta, 0.0)
-        return makespan(total, longest, units.n_units or 1)
-
-    def _units(self, p: IterationProfile, style: StyleSpec) -> UnitDecomposition:
-        return self._units_for(p, style.cpp_schedule is CppSchedule.CYCLIC)
-
     def _units_for(self, p: IterationProfile, cyclic: bool) -> UnitDecomposition:
         builder = cpu_cyclic_units if cyclic else cpu_blocked_units
         return cached_decomposition(
@@ -288,9 +161,13 @@ class CPUModel:
         *,
         mem_bw: float,
     ) -> np.ndarray:
-        """Vectorized :meth:`_core_cycles`: one per-step vector over the
-        trace's nonzero steps, entry-for-entry bit-identical to the scalar
-        expression."""
+        """Work + memory + contention cycles of one step — everything
+        except the reduction style and the parallel-region overhead — as
+        one vector over the trace's nonzero steps.
+
+        Depends on the style only through (model, omp_schedule,
+        cpp_schedule), which is what makes batch sharing possible.
+        Entry-for-entry bit-identical to the scalar expression."""
         s = self.spec
         cyclic = cpp is CppSchedule.CYCLIC
         load_factor = s.cyclic_locality_factor if cyclic else 1.0
@@ -339,15 +216,23 @@ class CPUModel:
         alpha: np.ndarray,
         beta: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`_schedule_cycles` over the nonzero steps."""
+        """Makespan under the spec's scheduling policy, per nonzero step."""
         s = self.spec
         if model is Model.OPENMP and omp is OmpSchedule.DYNAMIC:
+            # Greedy dynamic scheduling: classic bound (balanced up to the
+            # longest single chunk) plus dispatch overhead.  Every chunk
+            # grab is a fetch-add on the shared loop counter — a hot
+            # atomic that serializes across the chip — plus some per-chunk
+            # bookkeeping that runs inside the grabbing thread.
             total = alpha * pm.n_items + beta * pm.total_inner
             # For steps without an inner loop ``max_inner`` is 0 and the
             # term is an exact + 0.0, matching the scalar branch.
             longest_item = alpha + beta * pm.max_inner
             chunk = max(1, s.dynamic_chunk)
             n_chunks = -(-pm.n_items_int // chunk)
+            # The loop counter only becomes a serialization point when
+            # threads finish chunks faster than the counter can hand new
+            # ones out; pressure is the ratio of grab rate to service rate.
             body = np.maximum(total / n_chunks, 1.0)
             pressure = np.minimum(1.0, s.threads * s.cycles_hot_atomic / body)
             dispatch_serial = n_chunks * s.cycles_hot_atomic * pressure
@@ -392,12 +277,14 @@ class CPUModel:
                     alpha[pos], beta[pos]
                 )
                 n_units[pos] = su.n_units
+        # Greedy list-scheduling bound: max(total / units, longest unit).
         return np.maximum(total / n_units, longest)
 
     def _memory_cycles_batch(
         self, pm: ProfileMatrix, load_factor: float, mem_bw: float
     ) -> np.ndarray:
-        """Vectorized :meth:`_memory_cycles` over the nonzero steps."""
+        """Bandwidth bound over the nonzero steps: streaming structure +
+        scattered data traffic."""
         s = self.spec
         struct_bytes = 4.0 * load_factor * (
             pm.struct_loads_base * pm.n_items
@@ -411,12 +298,21 @@ class CPUModel:
                 + pm.atomics_inner * pm.total_inner
             )
         )
+        # Scattered 4-byte accesses pull whole 64-byte lines; charge a
+        # conservative 16-byte effective cost (partial line reuse).
         return (struct_bytes + 16.0 * data_accesses) / mem_bw
 
     def _reduction_cycles_batch(
         self, pm: ProfileMatrix, red: Optional[CpuReduction]
     ):
-        """Vectorized :meth:`_reduction_cycles` over the nonzero steps.
+        """Section 2.10.2 reduction styles over the nonzero steps.
+
+        * atomic: every contribution is a lock-prefixed RMW on one hot
+          line — serialized through the LLC.
+        * critical: every contribution enters a mutex — serialized and an
+          order of magnitude pricier per op (Figure 11's worst case).
+        * clause (OpenMP) / private partials (C++): thread-local adds,
+          one combining atomic per thread.
 
         Returns the scalar ``0.0`` when the style has no reduction axis
         (broadcasting it is exact: ``x + 0.0 == x`` for the non-negative
@@ -435,44 +331,3 @@ class CPUModel:
                 + s.threads * s.cycles_atomic
             )
         return np.where(items > 0, val, 0.0)
-
-    def _memory_cycles(
-        self, p: IterationProfile, load_factor: float, mem_bw: float
-    ) -> float:
-        """Bandwidth bound: streaming structure + scattered data traffic."""
-        s = self.spec
-        n = float(p.n_items)
-        inner_total = float(p.total_inner)
-        struct_bytes = 4.0 * load_factor * (
-            p.struct_loads_base * n + p.struct_loads_inner * inner_total
-        )
-        data_accesses = (
-            (p.shared_loads_base + p.shared_stores_base) * n
-            + (p.shared_loads_inner + p.shared_stores_inner) * inner_total
-            + 2.0 * (p.atomics_base * n + p.atomics_inner * inner_total)
-        )
-        # Scattered 4-byte accesses pull whole 64-byte lines; charge a
-        # conservative 16-byte effective cost (partial line reuse).
-        return (struct_bytes + 16.0 * data_accesses) / mem_bw
-
-    def _reduction_cycles(self, p: IterationProfile, style: StyleSpec) -> float:
-        """Section 2.10.2 reduction styles.
-
-        * atomic: every contribution is a lock-prefixed RMW on one hot
-          line — serialized through the LLC.
-        * critical: every contribution enters a mutex — serialized and an
-          order of magnitude pricier per op (Figure 11's worst case).
-        * clause (OpenMP) / private partials (C++): thread-local adds,
-          one combining atomic per thread.
-        """
-        if p.reduction_items <= 0 or style.cpu_reduction is None:
-            return 0.0
-        s = self.spec
-        items = p.reduction_items
-        red = style.cpu_reduction
-        if red is CpuReduction.ATOMIC:
-            return items * s.cycles_hot_atomic
-        if red is CpuReduction.CRITICAL:
-            return items * s.cycles_critical
-        # CLAUSE: private accumulation in registers/L1, combine at the end.
-        return items * s.cycles_compute / s.threads + s.threads * s.cycles_atomic

@@ -45,7 +45,6 @@ from .scheduling import (
     cached_decomposition,
     gpu_uniform_geometry,
     gpu_units,
-    makespan,
     stack_decompositions,
 )
 from .specs import GPUSpec
@@ -68,16 +67,6 @@ class GPUModel:
         self._bw_cache: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
-    def time_trace(self, trace: ExecutionTrace, style: StyleSpec) -> float:
-        """Simulated wall time in seconds for the whole program."""
-        if style.model is not Model.CUDA:
-            raise ValueError("GPUModel times CUDA specs only")
-        mem_bw = self._bandwidth_for(trace)
-        cycles = 0.0
-        for profile in trace.profiles:
-            cycles += self.profile_cycles(profile, style, mem_bw=mem_bw)
-        return self.spec.seconds(cycles)
-
     def _bandwidth_for(self, trace: ExecutionTrace) -> float:
         """Effective streaming bandwidth for this program's working set.
 
@@ -103,17 +92,18 @@ class GPUModel:
     ) -> List[float]:
         """Simulated wall times of many mapping variants of one trace.
 
-        Bit-identical to calling :meth:`time_trace` per style, but computed
-        as one vectorized pass over the trace's
+        Computed as one vectorized pass over the trace's
         :class:`~repro.machine.trace.ProfileMatrix`: core (issue + memory +
         contention) cycles are evaluated once per distinct (granularity,
         persistence, iteration) × atomic-flavor combination as a
         per-step vector, reduction cycles once per distinct reduction
         context, and styles gather their step columns by group index — a
         style whose mapping differs only in the reduction axis reuses the
-        exact same core floats.  The per-step cycle matrix is reduced over
-        the step axis with ``np.add.reduce``, which accumulates in the
-        same left-to-right order as the scalar loop.
+        exact same core floats.  The per-step cycle matrix is summed over
+        the step axis in launch order
+        (:meth:`~repro.machine.trace.ProfileMatrix.step_totals`), so every
+        result is bit-identical to the frozen scalar walk in
+        ``tests/machine/scalar_oracle.py``, whatever the batch size.
         """
         styles = list(styles)
         contexts = [self._style_context(style) for style in styles]
@@ -128,7 +118,7 @@ class GPUModel:
             # persistence, iteration) share one batch evaluation, with
             # their distinct atomic-flavor pairs as its rows.
             core_rows: Dict[Tuple, Dict[Tuple[float, float], int]] = {}
-            for style, gran, persistent, flavor_ls, flavor_rmw, _ in contexts:
+            for style, gran, persistent, flavor_ls, flavor_rmw in contexts:
                 rows = core_rows.setdefault(
                     (gran, persistent, style.iteration), {}
                 )
@@ -148,7 +138,7 @@ class GPUModel:
             }
             reds: Dict[Tuple, object] = {}
             add = np.empty((len(styles), pm.nonzero.size))
-            for i, (style, gran, persistent, flavor_ls, flavor_rmw, _) in (
+            for i, (style, gran, persistent, flavor_ls, flavor_rmw) in (
                 enumerate(contexts)
             ):
                 gkey = (gran, persistent, style.iteration)
@@ -165,12 +155,13 @@ class GPUModel:
                     reds[rkey] = red
                 add[i] = core + red
             cycles[pm.nonzero] += add.T
-        totals = np.add.reduce(cycles, axis=0)
+        totals = pm.step_totals(cycles)
         return [float(s.seconds(t)) for t in totals]
 
     def _style_context(self, style: StyleSpec) -> Tuple:
-        """Pre-resolved mapping context of one style, with the key under
-        which its core cycles are shared within a launch."""
+        """Pre-resolved mapping context of one style: ``(style,
+        granularity, persistent, load/store flavor multiplier, RMW flavor
+        multiplier)``."""
         if style.model is not Model.CUDA:
             raise ValueError("GPUModel times CUDA specs only")
         s = self.spec
@@ -186,13 +177,7 @@ class GPUModel:
         )
         gran = style.granularity or Granularity.THREAD
         persistent = style.persistence is Persistence.PERSISTENT
-        core_key = (style.atomic_flavor, gran, persistent, style.iteration)
-        return style, gran, persistent, flavor_ls, flavor_rmw, core_key
-
-    def throughput(self, trace: ExecutionTrace, style: StyleSpec) -> float:
-        """Giga-edges per second (the paper's Section 4.5 metric)."""
-        seconds = self.time_trace_batch(trace, [style])[0]
-        return trace.n_edges / seconds / 1e9
+        return style, gran, persistent, flavor_ls, flavor_rmw
 
     # ------------------------------------------------------------------
     def _core_cycles_batch(
@@ -204,11 +189,15 @@ class GPUModel:
         flavors: Sequence[Tuple[float, float]],
         mem_bw: float,
     ) -> np.ndarray:
-        """Vectorized :meth:`_core_cycles`: one ``(flavors × steps)``
-        matrix over the trace's nonzero steps, entry-for-entry bit-identical
-        to the scalar expression.  The zero-coefficient branches the scalar
-        path skips only ever skip exact ``+ 0.0`` terms, so they are applied
-        unconditionally here."""
+        """Issue + memory + contention cycles of one launch — everything
+        except the reduction style and the launch overhead — as one
+        ``(flavors × steps)`` matrix over the trace's nonzero steps.
+
+        Depends on the style only through (atomic flavor, granularity,
+        persistence, iteration), which is what makes batch sharing
+        possible.  Entry-for-entry bit-identical to the scalar expression;
+        the zero-coefficient branches the scalar walk skips only ever skip
+        exact ``+ 0.0`` terms, so they are applied unconditionally here."""
         s = self.spec
         fls = np.array([f[0] for f in flavors])[:, None]
         frm = np.array([f[1] for f in flavors])[:, None]
@@ -236,12 +225,16 @@ class GPUModel:
                 pm.same_address, beta_other, beta_other + beta_atomic
             )
             beta_ser = np.where(pm.same_address, beta_atomic, 0.0)
+        # Granularity synchronization: block-wide processing of one item
+        # requires a barrier per item; warps sync implicitly (lockstep).
         if gran is Granularity.BLOCK:
             alpha = alpha + (pm.barriers_per_item + 1.0) * s.cycles_barrier
         else:
             alpha = alpha + pm.barriers_per_item * s.cycles_barrier
 
         # --- issue makespan --------------------------------------------
+        # Greedy list-scheduling bound over the execution units:
+        # max(width-weighted total / issue slots, longest unit).
         total = np.empty_like(alpha)
         longest = np.empty_like(alpha)
         uniform = ~pm.has_inner
@@ -288,6 +281,11 @@ class GPUModel:
         mem = self._memory_cycles_batch(pm, gran, iteration, fls, frm, mem_bw)
 
         # --- serial add-ons --------------------------------------------
+        # Same-address atomics serialize per address; different addresses
+        # proceed in parallel across the L2 banks.  The launch pays the
+        # longest single-address chain plus the bank-throughput cost of the
+        # remaining collisions (scaled by how much of the launch is
+        # actually concurrent).
         overlap = np.minimum(1.0, s.issue_slots * WARP_WIDTH / pm.n_items)
         conflict = frm * s.cycles_atomic_conflict * (
             pm.max_conflict + pm.conflict_extra * overlap / L2_BANKS
@@ -304,7 +302,16 @@ class GPUModel:
         frm: np.ndarray,
         mem_bw: float,
     ) -> np.ndarray:
-        """Vectorized :meth:`_memory_cycles` over the nonzero steps."""
+        """DRAM time over the nonzero steps: bytes moved / bandwidth,
+        sector-expanded when scattered.
+
+        Structure streams (CSR/COO/worklist) coalesce when consecutive
+        lanes touch consecutive addresses: always true for the per-item
+        (base) accesses and for strip-mined inner loops (warp/block
+        granularity), but false for thread-granularity neighbor walks,
+        where each lane streams through its own adjacency list.
+        Data-array accesses (dist/comp/rank...) are scattered by nature.
+        """
         s = self.spec
         sif = s.uncoalesced_factor if gran is Granularity.THREAD else 1.0
         sif_vec = np.full(pm.n_items.shape, sif)
@@ -318,11 +325,16 @@ class GPUModel:
             (pm.shared_loads_base + pm.shared_stores_base) * pm.n_items
             + (pm.shared_loads_inner + pm.shared_stores_inner) * pm.total_inner
         )
+        # Where an item's inner atomics all hit one cell, the line stays
+        # in the L2 and reaches memory once, not once per trip.
         atomic_accesses = np.where(
             pm.same_address,
             (pm.atomics_base + np.minimum(pm.atomics_inner, 1.0)) * pm.n_items,
             pm.atomics_base * pm.n_items + pm.atomics_inner * pm.total_inner,
         )
+        # Default cuda::atomic (seq_cst, system scope) defeats caching and
+        # pipelining of the data-array traffic; the stall time is modeled
+        # as serialization-equivalent extra traffic.
         scattered_bytes = 4.0 * s.scatter_factor * (
             shared_accesses * fls + 2.0 * atomic_accesses * frm
         )
@@ -335,7 +347,16 @@ class GPUModel:
         gran: Granularity,
         flavor_rmw: float,
     ):
-        """Vectorized :meth:`_reduction_cycles` over the nonzero steps.
+        """Section 2.10.1 reduction styles over the nonzero steps.
+
+        * global-add: every contribution is an atomic on one L2 address —
+          fully serialized at the hot-atomic rate.
+        * block-add: block-scope atomics on a global block counter do not
+          beat the L2 (same path, narrower scope), and the style adds a
+          barrier plus one global add per block — the slowest, matching
+          Figure 10 and the paper's explanation.
+        * reduction-add: warp-shuffle trees are issue-parallel; only one
+          global add per block remains.
 
         Returns the scalar ``0.0`` when the style has no reduction axis
         (broadcasting it is exact: ``x + 0.0 == x`` for the non-negative
@@ -366,95 +387,6 @@ class GPUModel:
         return np.where(items > 0, val, 0.0)
 
     # ------------------------------------------------------------------
-    def profile_cycles(
-        self,
-        p: IterationProfile,
-        style: StyleSpec,
-        *,
-        mem_bw: Optional[float] = None,
-    ) -> float:
-        """Simulated cycles of one kernel launch."""
-        s = self.spec
-        if mem_bw is None:
-            mem_bw = s.mem_bytes_per_cycle
-        if p.n_items == 0:
-            return s.cycles_launch
-        _, gran, persistent, flavor_ls, flavor_rmw, _ = self._style_context(style)
-        core = self._core_cycles(
-            p, style, gran, persistent, flavor_ls, flavor_rmw, mem_bw
-        )
-        red_cycles = self._reduction_cycles(p, style, gran, flavor_rmw)
-        return core + red_cycles + s.cycles_launch
-
-    def _core_cycles(
-        self,
-        p: IterationProfile,
-        style: StyleSpec,
-        gran: Granularity,
-        persistent: bool,
-        flavor_ls: float,
-        flavor_rmw: float,
-        mem_bw: float,
-    ) -> float:
-        """Issue + memory + contention cycles of one launch — everything
-        except the reduction style and the launch overhead.  Depends on the
-        style only through (atomic flavor, granularity, persistence,
-        iteration), which is what makes batch sharing possible."""
-        s = self.spec
-        # --- per-item coefficient assembly -----------------------------
-        alpha = (
-            p.base_cycles * s.cycles_compute
-            + p.struct_loads_base * s.cycles_load
-            + p.shared_loads_base * s.cycles_load * flavor_ls
-            + p.shared_stores_base * s.cycles_store * flavor_ls
-            + p.atomics_base * s.cycles_atomic * flavor_rmw
-        )
-        beta_atomic = p.atomics_inner * s.cycles_atomic * flavor_rmw
-        beta_other = (
-            p.inner_cycles * s.cycles_compute
-            + p.struct_loads_inner * s.cycles_load
-            + p.shared_loads_inner * s.cycles_load * flavor_ls
-            + p.shared_stores_inner * s.cycles_store * flavor_ls
-        )
-        # Same-address inner atomics cannot be strip-mined across lanes.
-        if p.atomics_same_address_per_item and gran is not Granularity.THREAD:
-            beta_par, beta_ser = beta_other, beta_atomic
-        else:
-            beta_par, beta_ser = beta_other + beta_atomic, 0.0
-        # Granularity synchronization: block-wide processing of one item
-        # requires a barrier per item; warps sync implicitly (lockstep).
-        if gran is Granularity.BLOCK:
-            alpha += (p.barriers_per_item + 1.0) * s.cycles_barrier
-        elif p.barriers_per_item:
-            alpha += p.barriers_per_item * s.cycles_barrier
-
-        # --- issue makespan --------------------------------------------
-        units = self._units(p, gran, persistent)
-        total, longest = units.times(alpha, beta_par, beta_ser)
-        issue_cycles = makespan(total * units.width, longest, s.issue_slots)
-
-        # --- memory time -------------------------------------------------
-        mem_cycles = self._memory_cycles(
-            p, style, gran, mem_bw, flavor_ls=flavor_ls, flavor_rmw=flavor_rmw
-        )
-
-        # --- serial add-ons ----------------------------------------------
-        # Same-address atomics serialize per address; different addresses
-        # proceed in parallel across the L2 banks.  The launch pays the
-        # longest single-address chain plus the bank-throughput cost of the
-        # remaining collisions (scaled by how much of the launch is
-        # actually concurrent).
-        active_threads = s.issue_slots * WARP_WIDTH
-        overlap = min(1.0, active_threads / p.n_items)
-        conflict_cycles = flavor_rmw * s.cycles_atomic_conflict * (
-            p.max_conflict
-            + p.conflict_extra * overlap / L2_BANKS
-        )
-        hot_cycles = p.hot_atomics * s.cycles_hot_atomic * flavor_rmw
-
-        return max(issue_cycles, mem_cycles) + conflict_cycles + hot_cycles
-
-    # ------------------------------------------------------------------
     def _units(
         self, p: IterationProfile, gran: Granularity, persistent: bool
     ) -> UnitDecomposition:
@@ -475,93 +407,3 @@ class GPUModel:
                 resident_threads=self.spec.resident_threads,
             ),
         )
-
-    def _memory_cycles(
-        self,
-        p: IterationProfile,
-        style: StyleSpec,
-        gran: Granularity,
-        mem_bw: float,
-        *,
-        flavor_ls: float = 1.0,
-        flavor_rmw: float = 1.0,
-    ) -> float:
-        """DRAM time: bytes moved / bandwidth, sector-expanded when
-        scattered.
-
-        Structure streams (CSR/COO/worklist) coalesce when consecutive
-        lanes touch consecutive addresses: always true for the per-item
-        (base) accesses and for strip-mined inner loops (warp/block
-        granularity), but false for thread-granularity neighbor walks,
-        where each lane streams through its own adjacency list.
-        Data-array accesses (dist/comp/rank...) are scattered by nature.
-        """
-        s = self.spec
-        inner_total = float(p.total_inner)
-        n = float(p.n_items)
-        struct_inner_factor = (
-            s.uncoalesced_factor if gran is Granularity.THREAD else 1.0
-        )
-        if style.iteration is Iteration.EDGE and p.inner is None:
-            struct_inner_factor = 1.0
-        struct_bytes = 4.0 * (
-            p.struct_loads_base * n + p.struct_loads_inner * inner_total * struct_inner_factor
-        )
-        shared_accesses = (
-            (p.shared_loads_base + p.shared_stores_base) * n
-            + (p.shared_loads_inner + p.shared_stores_inner) * inner_total
-        )
-        if p.atomics_same_address_per_item:
-            # An item's inner atomics all hit one cell: the line stays in
-            # the L2 and reaches memory once, not once per trip.
-            atomic_accesses = (p.atomics_base + min(p.atomics_inner, 1.0)) * n
-        else:
-            atomic_accesses = p.atomics_base * n + p.atomics_inner * inner_total
-        # Default cuda::atomic (seq_cst, system scope) defeats caching and
-        # pipelining of the data-array traffic; the stall time is modeled
-        # as serialization-equivalent extra traffic.
-        scattered_bytes = 4.0 * s.scatter_factor * (
-            shared_accesses * flavor_ls + 2.0 * atomic_accesses * flavor_rmw
-        )
-        return (struct_bytes + scattered_bytes) / mem_bw
-
-    def _reduction_cycles(
-        self,
-        p: IterationProfile,
-        style: StyleSpec,
-        gran: Granularity,
-        flavor_rmw: float,
-    ) -> float:
-        """Section 2.10.1 reduction styles.
-
-        * global-add: every contribution is an atomic on one L2 address —
-          fully serialized at the hot-atomic rate.
-        * block-add: block-scope atomics on a global block counter do not
-          beat the L2 (same path, narrower scope), and the style adds a
-          barrier plus one global add per block — the slowest, matching
-          Figure 10 and the paper's explanation.
-        * reduction-add: warp-shuffle trees are issue-parallel; only one
-          global add per block remains.
-        """
-        if p.reduction_items <= 0 or style.gpu_reduction is None:
-            return 0.0
-        s = self.spec
-        items = p.reduction_items
-        lanes_per_item = {
-            Granularity.THREAD: 1,
-            Granularity.WARP: WARP_WIDTH,
-            Granularity.BLOCK: s.block_size,
-        }[gran]
-        launch_threads = max(p.n_items * lanes_per_item, 1)
-        n_blocks = max(1, -(-launch_threads // s.block_size))
-        red = style.gpu_reduction
-        if red is GpuReduction.GLOBAL_ADD:
-            return items * s.cycles_hot_atomic * flavor_rmw
-        if red is GpuReduction.BLOCK_ADD:
-            return (
-                items * s.cycles_hot_atomic * flavor_rmw
-                + n_blocks * (s.cycles_hot_atomic + 2.0 * s.cycles_barrier)
-            )
-        # REDUCTION_ADD: parallel shuffle tree + one global add per block.
-        parallel = items * s.cycles_shuffle_red / (s.issue_slots * WARP_WIDTH)
-        return parallel + n_blocks * s.cycles_hot_atomic

@@ -6,10 +6,11 @@ that in one pass: it builds the trace's
 :class:`~repro.machine.trace.ProfileMatrix` once (cached on the trace) and
 runs each device's vectorized batch over the styles that can execute
 there, so the whole matrix costs a handful of broadcast evaluations
-instead of ``styles × devices`` scalar walks.  Every finite cell is
-bit-identical to the corresponding scalar
-:meth:`~repro.machine.gpu.GPUModel.time_trace` /
-:meth:`~repro.machine.cpu.CPUModel.time_trace` call.
+instead of ``styles × devices`` per-launch walks.  It is the one way the
+package times a trace: single runs are 1×1 matrices
+(:meth:`repro.runtime.launcher.Launcher.run`).  Every finite cell is
+bit-identical to the frozen per-launch scalar walk kept as the test
+oracle in ``tests/machine/scalar_oracle.py``.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ def time_matrix(
     Returns a ``(len(styles), len(devices))`` float64 matrix; cell
     ``[i, j]`` is NaN when style ``i``'s programming model cannot run on
     device ``j`` (a CUDA style on a CPU and vice versa), otherwise it is
-    bit-identical to ``model.time_trace(trace, styles[i])`` on that
-    device.
+    the style's simulated seconds on that device.
     """
     styles = list(styles)
     devices = list(devices)

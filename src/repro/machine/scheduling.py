@@ -34,7 +34,6 @@ __all__ = [
     "cpu_cyclic_units",
     "cpu_uniform_geometry",
     "cached_decomposition",
-    "makespan",
 ]
 
 WARP_WIDTH = 32
@@ -78,75 +77,6 @@ class UnitDecomposition:
     uniform_base: float = 0.0
     uniform_trips: float = 0.0
 
-    def times(self, alpha: float, beta_par: float, beta_ser: float) -> Tuple[float, float]:
-        """(sum of unit times, max unit time) for the given coefficients."""
-        if self.n_units == 0:
-            return 0.0, 0.0
-        if self.base is None and self.trips_par is None:
-            t = (
-                alpha * self.uniform_base
-                + (beta_par + beta_ser) * self.uniform_trips
-            )
-            return t * self.n_units, t
-        const = alpha * self.uniform_base if self.base is None else 0.0
-        t = None if self.base is None else alpha * self.base
-        if self.trips_par is not None and (beta_par != 0.0 or beta_ser != 0.0):
-            trips = beta_par * self.trips_par
-            if beta_ser != 0.0:
-                trips = trips + beta_ser * self.trips_ser
-            t = trips if t is None else t + trips
-        if t is None:
-            return const * self.n_units, const
-        return float(t.sum()) + const * self.n_units, float(t.max()) + const
-
-    def times_batch(
-        self,
-        alphas: np.ndarray,
-        betas_par: np.ndarray,
-        betas_ser: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`times` over K coefficient sets.
-
-        Returns ``(totals, longests)`` float64 arrays of shape ``(K,)``
-        whose entry ``k`` is bit-identical to
-        ``times(alphas[k], betas_par[k], betas_ser[k])``: the per-unit
-        expression applies the same operations in the same order, the
-        row-wise ``sum``/``max`` use the same reduction routine as their
-        1-D counterparts, and the zero-coefficient branches `times`
-        skips only ever skip exact ``+ 0.0`` terms.
-        """
-        alphas = np.asarray(alphas, dtype=np.float64)
-        betas_par = np.asarray(betas_par, dtype=np.float64)
-        betas_ser = np.asarray(betas_ser, dtype=np.float64)
-        if self.n_units == 0:
-            zero = np.zeros_like(alphas)
-            return zero, zero.copy()
-        if self.base is None and self.trips_par is None:
-            t = (
-                alphas * self.uniform_base
-                + (betas_par + betas_ser) * self.uniform_trips
-            )
-            return t * self.n_units, t
-        const = (
-            alphas * self.uniform_base
-            if self.base is None
-            else np.zeros_like(alphas)
-        )
-        rows = (
-            None if self.base is None else alphas[:, None] * self.base[None, :]
-        )
-        if self.trips_par is not None:
-            trips = betas_par[:, None] * self.trips_par[None, :]
-            if self.trips_ser is not None:
-                trips = trips + betas_ser[:, None] * self.trips_ser[None, :]
-            rows = trips if rows is None else rows + trips
-        if rows is None:
-            return const * self.n_units, const.copy()
-        return (
-            rows.sum(axis=1) + const * self.n_units,
-            rows.max(axis=1) + const,
-        )
-
 
 @dataclass(frozen=True)
 class StackedUnits:
@@ -178,8 +108,9 @@ class StackedUnits:
 
         The trailing axis indexes the stacked steps; any leading axes
         broadcast (e.g. atomic-flavor rows).  Each entry is bit-identical
-        to the step's own :meth:`UnitDecomposition.times` with the matching
-        scalar coefficients: operations apply in the same order and a
+        to the scalar per-unit evaluation of that step's decomposition
+        (``unit_times`` in ``tests/machine/scalar_oracle.py``) with the
+        matching coefficients: operations apply in the same order and a
         ``None`` ``betas_ser`` skips the serial term exactly like the
         scalar zero-coefficient branch.
         """
@@ -245,13 +176,6 @@ def stack_decompositions(
             )
         )
     return out
-
-
-def makespan(total: float, longest: float, slots: float) -> float:
-    """Greedy list-scheduling makespan bound: max(total/slots, longest)."""
-    if slots <= 0:
-        raise ValueError("slots must be positive")
-    return max(total / slots, longest)
 
 
 def cached_decomposition(profile, cache_attr: str, key, builder):

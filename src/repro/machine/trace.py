@@ -264,6 +264,20 @@ class ProfileMatrix:
             self._geometry[key] = value
         return value
 
+    @staticmethod
+    def step_totals(cycles: np.ndarray) -> np.ndarray:
+        """Column sums of a ``(steps × styles)`` cycle matrix, accumulated
+        strictly in step order, as a per-launch loop adds them.
+
+        ``np.add.reduce`` over the step axis does exactly that when there
+        are several columns (a strided reduction adds row after row), but
+        a single column is contiguous and gets numpy's pairwise summation,
+        which differs in the last bits once a trace has 8 or more steps.
+        """
+        if cycles.shape[1] > 1 or not len(cycles):
+            return np.add.reduce(cycles, axis=0)
+        return np.add.accumulate(cycles, axis=0)[-1]
+
 
 @dataclass
 class ExecutionTrace:

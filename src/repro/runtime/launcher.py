@@ -31,8 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..graph.csr import CSRGraph
 from ..kernels.base import KernelResult
 from ..kernels.registry import build_kernel
-from ..machine.cpu import CPUModel
-from ..machine.gpu import GPUModel
+from ..machine.matrix import time_matrix
 from ..machine.specs import CPUSpec, GPUSpec
 from ..styles.axes import Algorithm
 from ..styles.spec import SemanticKey, StyleSpec
@@ -136,7 +135,6 @@ class Launcher:
         self._kernels: Dict[Tuple[str, Algorithm], object] = {}
         self._traces: Dict[Tuple[str, SemanticKey], KernelResult] = {}
         self._references: Dict[Tuple[str, Algorithm], np.ndarray] = {}
-        self._models: Dict[str, Union[GPUModel, CPUModel]] = {}
 
     def source_for(self, graph: CSRGraph) -> int:
         """The BFS/SSSP source for a graph (highest-degree by default)."""
@@ -197,76 +195,11 @@ class Launcher:
     def run(
         self, spec: StyleSpec, graph: CSRGraph, device: DeviceSpec
     ) -> RunResult:
-        """Run one fully-specified program variant; returns its result."""
-        spec.validate()
-        self._check_pairing(spec, device)
-        if self.budget.active:
-            self.budget.check_footprint(graph, spec, device)
-        result = self.execute_semantic(spec, graph)
-        model = self.model_for(device)
-        seconds = model.time_trace(result.trace, spec)
-        if self.budget.active:
-            self.budget.check_seconds(
-                seconds, label=f"{spec.label()} on {graph.name}"
-            )
-        return self._result(spec, graph, device, result, seconds)
+        """Run one fully-specified program variant; returns its result.
 
-    def run_batch(
-        self,
-        specs: Sequence[StyleSpec],
-        graph: CSRGraph,
-        device: DeviceSpec,
-        *,
-        on_error: Optional[Callable[[StyleSpec, Exception], None]] = None,
-    ) -> List[Optional[RunResult]]:
-        """Run many program variants on one device and one input.
-
-        Equivalent to calling :meth:`run` per spec (bit-identical results),
-        but each distinct semantic trace is fetched once and all of its
-        mapping variants are timed in a single batched pass
-        (:meth:`GPUModel.time_trace_batch` / :meth:`CPUModel.time_trace_batch`).
-
-        Without ``on_error`` any failure (a :class:`VerificationError`, a
-        kernel exception) propagates, as :meth:`run`'s would.  With it, the
-        failing semantic group is reported — ``on_error(spec, exc)`` per
-        affected spec — its result slots are left ``None``, and the rest of
-        the batch still runs: one bad variant costs its cells, not the sweep.
+        A 1×1 :meth:`run_matrix`: any failure propagates.
         """
-        specs = list(specs)
-        model = self.model_for(device)
-        groups: Dict[SemanticKey, List[int]] = {}
-        for i, spec in enumerate(specs):
-            spec.validate()
-            self._check_pairing(spec, device)
-            groups.setdefault(spec.semantic_key(), []).append(i)
-        out: List[Optional[RunResult]] = [None] * len(specs)
-        for indices in groups.values():
-            batch = [specs[i] for i in indices]
-            try:
-                if self.budget.active:
-                    self.budget.check_footprint(graph, specs[indices[0]], device)
-                result = self.execute_semantic(specs[indices[0]], graph)
-                times = model.time_trace_batch(result.trace, batch)
-            except Exception as exc:
-                if on_error is None:
-                    raise
-                for i in indices:
-                    on_error(specs[i], exc)
-                continue
-            for i, seconds in zip(indices, times):
-                if self.budget.active:
-                    try:
-                        self.budget.check_seconds(
-                            seconds,
-                            label=f"{specs[i].label()} on {graph.name}",
-                        )
-                    except BudgetExceeded as exc:
-                        if on_error is None:
-                            raise
-                        on_error(specs[i], exc)
-                        continue
-                out[i] = self._result(specs[i], graph, device, result, seconds)
-        return out
+        return self.run_matrix([spec], graph, [device])[0][0]
 
     def run_matrix(
         self,
@@ -280,23 +213,21 @@ class Launcher:
     ) -> List[List[Optional[RunResult]]]:
         """Run many program variants across many devices in one pass.
 
-        Returns ``results[d][i]`` — the run of spec ``i`` on device ``d``
-        — bit-identical to :meth:`run_batch` per device, but each distinct
-        semantic trace is fetched exactly once for the whole device list
-        and every device's batched timing reuses the trace's shared
-        profile matrix (:meth:`ExecutionTrace.profile_matrix`), so the
-        variant×device matrix of a sweep block costs one trace walk plus
-        a few broadcast evaluations per device.
+        Returns ``results[d][i]`` — the run of spec ``i`` on device ``d``.
+        Each distinct semantic trace is fetched exactly once for the whole
+        device list and timed by one :func:`~repro.machine.time_matrix`
+        call over the devices that admit it, so the variant×device matrix
+        of a sweep block costs one trace walk plus a few broadcast
+        evaluations per device.
 
         ``on_error(spec, device, exc)`` receives per-cell failures (the
-        whole group's cells when the semantic execution itself fails);
-        without it the first failure propagates.  Invalid specs and
-        model/device mismatches always raise — those are caller bugs, not
-        sweep data.
+        whole group's cells when the semantic execution or its timing
+        fails); without it the first failure propagates.  Invalid specs
+        and model/device mismatches always raise — those are caller bugs,
+        not sweep data.
         """
         specs = list(specs)
         devices = list(devices)
-        models = [self.model_for(device) for device in devices]
         groups: Dict[SemanticKey, List[int]] = {}
         for i, spec in enumerate(specs):
             spec.validate()
@@ -328,6 +259,9 @@ class Launcher:
                 continue
             try:
                 result = self.execute_semantic(specs[indices[0]], graph)
+                seconds = time_matrix(
+                    result.trace, batch, [devices[d] for d in active]
+                )
             except Exception as exc:
                 if on_error is None:
                     raise
@@ -335,20 +269,13 @@ class Launcher:
                     for i in indices:
                         on_error(specs[i], devices[d], exc)
                 continue
-            for d in active:
-                try:
-                    times = models[d].time_trace_batch(result.trace, batch)
-                except Exception as exc:
-                    if on_error is None:
-                        raise
-                    for i in indices:
-                        on_error(specs[i], devices[d], exc)
-                    continue
-                for i, seconds in zip(indices, times):
+            for col, d in enumerate(active):
+                for row, i in enumerate(indices):
+                    cell = float(seconds[row, col])
                     if self.budget.active:
                         try:
                             self.budget.check_seconds(
-                                seconds,
+                                cell,
                                 label=f"{specs[i].label()} on {graph.name}",
                             )
                         except BudgetExceeded as exc:
@@ -357,21 +284,9 @@ class Launcher:
                             on_error(specs[i], devices[d], exc)
                             continue
                     out[d][i] = self._result(
-                        specs[i], graph, devices[d], result, seconds
+                        specs[i], graph, devices[d], result, cell
                     )
         return out
-
-    def model_for(self, device: DeviceSpec) -> Union[GPUModel, CPUModel]:
-        """The (memoized) timing model of one device."""
-        model = self._models.get(device.name)
-        if model is None:
-            model = (
-                GPUModel(device)
-                if isinstance(device, GPUSpec)
-                else CPUModel(device)
-            )
-            self._models[device.name] = model
-        return model
 
     def _result(
         self,

@@ -5,7 +5,7 @@ import pytest
 from repro.bench import BASELINES, baseline_style, baseline_trace, best_style_spec
 from repro.bench.comparison import baseline_speedups, table6
 from repro.graph import load_dataset
-from repro.machine import CPUModel, GPUModel, RTX_3090, THREADRIPPER_2950X
+from repro.machine import RTX_3090, THREADRIPPER_2950X, time_matrix
 from repro.styles import Algorithm, Model
 
 
@@ -30,11 +30,13 @@ class TestBaselineTraces:
     def test_baselines_timeable(self, graph):
         for alg in BASELINES[Model.CUDA]:
             run = baseline_trace(alg, graph, Model.CUDA)
-            seconds = GPUModel(RTX_3090).time_trace(run.trace, run.style)
+            seconds = time_matrix(run.trace, [run.style], [RTX_3090])[0, 0]
             assert seconds > 0
         for alg in BASELINES[Model.OPENMP]:
             run = baseline_trace(alg, graph, Model.OPENMP)
-            seconds = CPUModel(THREADRIPPER_2950X).time_trace(run.trace, run.style)
+            seconds = time_matrix(
+                run.trace, [run.style], [THREADRIPPER_2950X]
+            )[0, 0]
             assert seconds > 0
 
     def test_sssp_baseline_work_is_near_optimal(self, graph):

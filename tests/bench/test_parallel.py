@@ -18,9 +18,16 @@ from repro.bench import (
 )
 from repro.bench.parallel import resolve_workers, run_block_outcome
 from repro.graph import load_dataset
-from repro.machine import CPUModel, GPUModel, RTX_3090, THREADRIPPER_2950X
+from repro.machine import (
+    CPUModel,
+    GPUModel,
+    RTX_3090,
+    THREADRIPPER_2950X,
+    model_for_device,
+)
 from repro.runtime import Launcher
 from repro.styles import Algorithm, Model, enumerate_specs
+from tests.machine import scalar_oracle
 
 REDUCED = SweepConfig(
     scale="tiny",
@@ -37,7 +44,8 @@ def run_signature(results):
 
 
 class TestBatchedTiming:
-    """time_trace_batch must be bit-identical to per-spec time_trace."""
+    """time_trace_batch must be bit-identical to the per-spec scalar
+    oracle walk."""
 
     @pytest.mark.parametrize("algorithm", [Algorithm.SSSP, Algorithm.PR])
     def test_gpu_batch_matches_serial(self, algorithm):
@@ -50,7 +58,10 @@ class TestBatchedTiming:
             groups.setdefault(spec.semantic_key(), []).append(spec)
         for group in groups.values():
             trace = launcher.execute_semantic(group[0], graph).trace
-            serial = [model.time_trace(trace, spec) for spec in group]
+            serial = [
+                scalar_oracle.time_trace(trace, spec, RTX_3090)
+                for spec in group
+            ]
             assert model.time_trace_batch(trace, group) == serial
 
     @pytest.mark.parametrize("model_axis", [Model.OPENMP, Model.CPP_THREADS])
@@ -64,7 +75,10 @@ class TestBatchedTiming:
             groups.setdefault(spec.semantic_key(), []).append(spec)
         for group in groups.values():
             trace = launcher.execute_semantic(group[0], graph).trace
-            serial = [model.time_trace(trace, spec) for spec in group]
+            serial = [
+                scalar_oracle.time_trace(trace, spec, THREADRIPPER_2950X)
+                for spec in group
+            ]
             assert model.time_trace_batch(trace, group) == serial
 
     def test_gpu_batch_rejects_cpu_specs(self):
@@ -75,18 +89,17 @@ class TestBatchedTiming:
         with pytest.raises(ValueError, match="CUDA specs only"):
             GPUModel(RTX_3090).time_trace_batch(trace, [spec])
 
-    def test_run_batch_matches_run(self):
+    def test_one_device_matrix_matches_run(self):
         graph = load_dataset("USA-road-d.NY", "tiny")
         launcher = Launcher()
         specs = enumerate_specs(Algorithm.BFS, Model.CUDA)[:20]
-        batch = launcher.run_batch(specs, graph, RTX_3090)
+        (batch,) = launcher.run_matrix(specs, graph, [RTX_3090])
         singles = [launcher.run(spec, graph, RTX_3090) for spec in specs]
         assert batch == singles
 
     def test_launcher_memoizes_models(self):
-        launcher = Launcher()
-        assert launcher.model_for(RTX_3090) is launcher.model_for(RTX_3090)
-        assert isinstance(launcher.model_for(THREADRIPPER_2950X), CPUModel)
+        assert model_for_device(RTX_3090) is model_for_device(RTX_3090)
+        assert isinstance(model_for_device(THREADRIPPER_2950X), CPUModel)
 
 
 class TestParallelSweep:

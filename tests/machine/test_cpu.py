@@ -1,14 +1,19 @@
-"""Unit tests for the CPU timing model."""
+"""Unit tests for the CPU timing model.
+
+Per-step cycles come from the frozen scalar oracle (bit-identical to the
+production batch path, see ``test_matrix_identity.py``); whole-program
+times go through :func:`repro.machine.time_matrix`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.machine import (
-    CPUModel,
     ExecutionTrace,
     IterationProfile,
     THREADRIPPER_2950X,
     XEON_GOLD_6226R,
+    time_matrix,
 )
 from repro.styles import (
     Algorithm,
@@ -18,6 +23,7 @@ from repro.styles import (
     OmpSchedule,
     StyleSpec,
 )
+from tests.machine.scalar_oracle import ScalarCPUModel
 
 
 def omp_style(**kw) -> StyleSpec:
@@ -52,9 +58,14 @@ def profile(**kw) -> IterationProfile:
     return IterationProfile(**base)
 
 
+def seconds(trace, spec, device=THREADRIPPER_2950X) -> float:
+    """Whole-program simulated seconds through the production path."""
+    return float(time_matrix(trace, [spec], [device])[0, 0])
+
+
 @pytest.fixture
 def model():
-    return CPUModel(THREADRIPPER_2950X)
+    return ScalarCPUModel(THREADRIPPER_2950X)
 
 
 class TestBasics:
@@ -68,7 +79,9 @@ class TestBasics:
             atomic_flavor=AtomicFlavor.ATOMIC,
         )
         with pytest.raises(ValueError, match="OpenMP"):
-            model.time_trace(ExecutionTrace(n_edges=1, n_vertices=1), cuda)
+            model.time_trace_batch(
+                ExecutionTrace(n_edges=1, n_vertices=1), [cuda]
+            )
 
     def test_empty_step_costs_a_region(self, model):
         p = IterationProfile(n_items=0)
@@ -84,8 +97,8 @@ class TestBasics:
     def test_throughput(self, model):
         trace = ExecutionTrace(n_edges=1234, n_vertices=10)
         trace.add(profile())
-        assert model.throughput(trace, omp_style()) == pytest.approx(
-            1234 / model.time_trace(trace, omp_style()) / 1e9
+        assert trace.n_edges / seconds(trace, omp_style()) / 1e9 == (
+            pytest.approx(1234 / model.time_trace(trace, omp_style()) / 1e9)
         )
 
 
@@ -172,8 +185,8 @@ class TestDevices:
             n_items=100_000, inner=np.full(100_000, 40, dtype=np.int64),
             inner_cycles=10.0,
         )
-        tr = CPUModel(THREADRIPPER_2950X).profile_cycles(p, omp_style())
-        xeon = CPUModel(XEON_GOLD_6226R).profile_cycles(p, omp_style())
+        tr = ScalarCPUModel(THREADRIPPER_2950X).profile_cycles(p, omp_style())
+        xeon = ScalarCPUModel(XEON_GOLD_6226R).profile_cycles(p, omp_style())
         # 32 threads at 2.9 GHz vs 16 at 3.5 GHz: more cycles of capacity.
         assert xeon < tr
 
@@ -183,6 +196,4 @@ class TestDevices:
         small.add(p)
         big = ExecutionTrace(n_edges=50_000_000, n_vertices=5_000_000)
         big.add(p)
-        assert model.time_trace(small, omp_style()) <= model.time_trace(
-            big, omp_style()
-        )
+        assert seconds(small, omp_style()) <= seconds(big, omp_style())

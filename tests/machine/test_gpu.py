@@ -1,9 +1,20 @@
-"""Unit tests for the GPU timing model: monotonicity and style effects."""
+"""Unit tests for the GPU timing model: monotonicity and style effects.
+
+Per-launch cycles come from the frozen scalar oracle (bit-identical to the
+production batch path, see ``test_matrix_identity.py``); whole-program
+times go through :func:`repro.machine.time_matrix`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.machine import RTX_3090, TITAN_V, ExecutionTrace, GPUModel, IterationProfile
+from repro.machine import (
+    RTX_3090,
+    TITAN_V,
+    ExecutionTrace,
+    IterationProfile,
+    time_matrix,
+)
 from repro.styles import (
     Algorithm,
     AtomicFlavor,
@@ -14,6 +25,7 @@ from repro.styles import (
     Persistence,
     StyleSpec,
 )
+from tests.machine.scalar_oracle import ScalarGPUModel
 
 
 def style(**kw) -> StyleSpec:
@@ -44,9 +56,14 @@ def profile(**kw) -> IterationProfile:
     return IterationProfile(**base)
 
 
+def seconds(trace, spec, device=RTX_3090) -> float:
+    """Whole-program simulated seconds through the production path."""
+    return float(time_matrix(trace, [spec], [device])[0, 0])
+
+
 @pytest.fixture
 def model():
-    return GPUModel(RTX_3090)
+    return ScalarGPUModel(RTX_3090)
 
 
 class TestBasics:
@@ -64,14 +81,14 @@ class TestBasics:
             omp_schedule=OmpSchedule.DEFAULT,
         )
         with pytest.raises(ValueError, match="CUDA"):
-            model.time_trace(trace, cpu)
+            model.time_trace_batch(trace, [cpu])
 
     def test_throughput_definition(self, model):
         trace = ExecutionTrace(n_edges=10_000, n_vertices=100)
         trace.add(profile())
-        seconds = model.time_trace(trace, style())
-        assert model.throughput(trace, style()) == pytest.approx(
-            10_000 / seconds / 1e9
+        scalar = model.time_trace(trace, style())
+        assert trace.n_edges / seconds(trace, style()) / 1e9 == pytest.approx(
+            10_000 / scalar / 1e9
         )
 
     def test_deterministic(self, model):
@@ -114,7 +131,7 @@ class TestMonotonicity:
 
     def test_cudaatomic_worse_on_titan_v(self):
         p = profile(shared_loads_inner=1.0)
-        ampere, volta = GPUModel(RTX_3090), GPUModel(TITAN_V)
+        ampere, volta = ScalarGPUModel(RTX_3090), ScalarGPUModel(TITAN_V)
         ratio_ampere = ampere.profile_cycles(
             p, style(atomic_flavor=AtomicFlavor.CUDA_ATOMIC)
         ) / ampere.profile_cycles(p, style())
@@ -164,7 +181,7 @@ class TestGranularity:
         trace_q = ExecutionTrace(n_edges=1000, n_vertices=100)
         trace_q.add(q)
         warp = style(granularity=Granularity.WARP)
-        assert model.time_trace(trace_p, warp) > model.time_trace(trace_q, warp)
+        assert seconds(trace_p, warp) > seconds(trace_q, warp)
 
     def test_persistence_near_noop_for_uniform(self, model):
         p = profile()
@@ -202,7 +219,7 @@ class TestMemoryModel:
         small.add(p)
         big = ExecutionTrace(n_edges=10_000_000, n_vertices=1_000_000)
         big.add(p)
-        assert model.time_trace(small, style()) <= model.time_trace(big, style())
+        assert seconds(small, style()) <= seconds(big, style())
 
     def test_warp_granularity_coalesces_struct_streams(self, model):
         # With heavy structural traffic, warp granularity moves fewer bytes.

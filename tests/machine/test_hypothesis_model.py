@@ -1,12 +1,14 @@
-"""Property-based tests on the machine models' structural invariants."""
+"""Property-based tests on the machine models' structural invariants.
+
+Per-launch cycles and unit times come from the frozen scalar oracle,
+which the vectorized production path matches bit for bit.
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import (
-    CPUModel,
-    GPUModel,
     IterationProfile,
     RTX_3090,
     THREADRIPPER_2950X,
@@ -23,6 +25,7 @@ from repro.styles import (
     Persistence,
     StyleSpec,
 )
+from tests.machine.scalar_oracle import ScalarCPUModel, ScalarGPUModel, unit_times
 
 
 def cuda_style(gran=Granularity.THREAD, persist=Persistence.NON_PERSISTENT):
@@ -48,7 +51,7 @@ def test_gpu_unit_decomposition_bounds(trips, gran, persistent):
         trips, trips.size, gran, persistent,
         block_size=256, resident_threads=2048,
     )
-    total, longest = units.times(0.0, 0.0, 1.0)  # raw (serialized) trips
+    total, longest = unit_times(units, 0.0, 0.0, 1.0)  # raw (serialized) trips
     assert total >= trips.sum() / 32.0 - 1e-6
     if gran is Granularity.THREAD:
         assert longest >= trips.max()  # lockstep: slowest lane bounds
@@ -60,7 +63,7 @@ def test_gpu_unit_decomposition_bounds(trips, gran, persistent):
 def test_cpu_units_preserve_work(trips, cyclic):
     builder = cpu_cyclic_units if cyclic else cpu_blocked_units
     units = builder(trips, trips.size, threads=8)
-    total, longest = units.times(0.0, 1.0, 0.0)
+    total, longest = unit_times(units, 0.0, 1.0, 0.0)
     assert total == float(trips.sum())
     assert longest >= trips.max()  # some thread owns the biggest item
     # Makespan lower bounds.
@@ -70,7 +73,7 @@ def test_cpu_units_preserve_work(trips, cyclic):
 @given(trips_arrays)
 @settings(max_examples=40, deadline=None)
 def test_gpu_time_monotone_in_trips(trips):
-    model = GPUModel(RTX_3090)
+    model = ScalarGPUModel(RTX_3090)
     base = IterationProfile(
         n_items=trips.size, inner=trips, inner_cycles=3.0,
         struct_loads_inner=1.0,
@@ -90,7 +93,7 @@ def test_gpu_time_monotone_in_trips(trips):
 )
 @settings(max_examples=40, deadline=None)
 def test_gpu_flavor_never_faster(n_items, atomics):
-    model = GPUModel(RTX_3090)
+    model = ScalarGPUModel(RTX_3090)
     p = IterationProfile(
         n_items=n_items, base_cycles=2.0, shared_loads_base=1.0,
         atomics_base=atomics,
@@ -106,7 +109,7 @@ def test_gpu_flavor_never_faster(n_items, atomics):
 @settings(max_examples=40, deadline=None)
 def test_cpu_dynamic_never_beats_perfect_balance(trips):
     """Dynamic scheduling cannot beat total/threads (plus nothing)."""
-    model = CPUModel(THREADRIPPER_2950X)
+    model = ScalarCPUModel(THREADRIPPER_2950X)
     p = IterationProfile(n_items=trips.size, inner=trips, inner_cycles=5.0)
     omp_dyn = StyleSpec(
         algorithm=Algorithm.SSSP, model=Model.OPENMP,
@@ -120,7 +123,7 @@ def test_cpu_dynamic_never_beats_perfect_balance(trips):
 @given(trips_arrays)
 @settings(max_examples=30, deadline=None)
 def test_gpu_times_deterministic(trips):
-    model = GPUModel(RTX_3090)
+    model = ScalarGPUModel(RTX_3090)
     p = IterationProfile(n_items=trips.size, inner=trips, inner_cycles=2.0)
     for gran in Granularity:
         a = model.profile_cycles(p, cuda_style(gran))

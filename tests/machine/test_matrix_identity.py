@@ -3,8 +3,9 @@
 The vectorized pipeline — :class:`ProfileMatrix` counters, stacked
 cross-step decompositions (:func:`stack_decompositions`), the batched
 ``*_batch`` model methods, and :func:`time_matrix` — must reproduce the
-scalar ``time_trace`` walk *bit for bit*: the analysis layer compares and
-ranks these floats, so even one ULP of drift could flip a paper figure.
+frozen scalar walk of :mod:`tests.machine.scalar_oracle` *bit for bit*:
+the analysis layer compares and ranks these floats, so even one ULP of
+drift could flip a paper figure.
 Every assertion here is ``==``, never ``approx``.
 """
 
@@ -25,6 +26,8 @@ from repro.machine import (
 from repro.machine.scheduling import UnitDecomposition, stack_decompositions
 from repro.runtime import Launcher
 from repro.styles import Algorithm, Model, enumerate_specs
+from tests.machine import scalar_oracle
+from tests.machine.scalar_oracle import unit_times
 
 ALL_DEVICES = list(DEVICES.values())
 
@@ -37,13 +40,11 @@ def semantic_groups(algorithm, model):
 
 
 def scalar_cell(trace, spec, device):
-    from repro.machine import model_for_device
-
-    return model_for_device(device).time_trace(trace, spec)
+    return scalar_oracle.time_trace(trace, spec, device)
 
 
 class TestFullMatrixIdentity:
-    """time_matrix == scalar time_trace over whole device matrices."""
+    """time_matrix == the scalar oracle over whole device matrices."""
 
     @pytest.mark.parametrize(
         "algorithm,graph_name",
@@ -68,6 +69,22 @@ class TestFullMatrixIdentity:
                             assert np.isnan(cell)
                         else:
                             assert cell == scalar_cell(trace, spec, device)
+
+    def test_one_style_matrix_matches_scalar(self):
+        """A 1×1 matrix (what ``Launcher.run`` times) must also sum its
+        steps in launch order: a lone style column must not fall into
+        numpy's pairwise summation."""
+        graph = load_dataset("USA-road-d.NY", "tiny")
+        launcher = Launcher()
+        for model in Model:
+            for spec in enumerate_specs(Algorithm.BFS, model)[:6]:
+                trace = launcher.execute_semantic(spec, graph).trace
+                assert trace.n_launches >= 8  # long enough to go pairwise
+                for device in ALL_DEVICES:
+                    if spec.model.is_gpu != hasattr(device, "sm_count"):
+                        continue
+                    cell = time_matrix(trace, [spec], [device])[0, 0]
+                    assert cell == scalar_cell(trace, spec, device)
 
     def test_mixed_model_styles_interleave(self):
         """GPU and CPU styles of one semantic trace can share a matrix;
@@ -98,7 +115,7 @@ class TestBatchedEdgeTraces:
             model = mk(device)
             specs = enumerate_specs(Algorithm.BFS, model_axis)
             batch = model.time_trace_batch(trace, specs)
-            assert batch == [model.time_trace(trace, s) for s in specs]
+            assert batch == [scalar_cell(trace, s, device) for s in specs]
 
     def test_empty_step(self):
         trace = ExecutionTrace(n_vertices=16, n_edges=16)
@@ -135,7 +152,7 @@ class TestBatchedEdgeTraces:
         before = model.time_trace_batch(trace, specs)
         trace.add(IterationProfile(n_items=8, shared_stores_base=1.0))
         after = model.time_trace_batch(trace, specs)
-        assert after == [model.time_trace(trace, s) for s in specs]
+        assert after == [scalar_cell(trace, s, RTX_3090) for s in specs]
         assert after != before
 
 
@@ -178,8 +195,9 @@ class TestStackedUnits:
         totals, longests = su.times_batch(alphas, betas_par, betas_ser)
         for k in range(4):
             for col, pos in enumerate(su.positions):
-                total, longest = units[pos].times(
-                    alphas[k, col], betas_par[k, col], betas_ser[k, col]
+                total, longest = unit_times(
+                    units[pos],
+                    alphas[k, col], betas_par[k, col], betas_ser[k, col],
                 )
                 assert totals[k, col] == total
                 assert longests[k, col] == longest
@@ -193,8 +211,8 @@ class TestStackedUnits:
         with_none = su.times_batch(alphas, betas_par, None)
         for k in range(2):
             for col, pos in enumerate(su.positions):
-                total, longest = units[pos].times(
-                    alphas[k, col], betas_par[k, col], 0.0
+                total, longest = unit_times(
+                    units[pos], alphas[k, col], betas_par[k, col], 0.0
                 )
                 assert with_none[0][k, col] == total
                 assert with_none[1][k, col] == longest

@@ -1,4 +1,8 @@
-"""Unit tests for the work-to-unit decompositions (hand-computed cases)."""
+"""Unit tests for the work-to-unit decompositions (hand-computed cases).
+
+Unit times and the list-scheduling bound are evaluated with the frozen
+scalar oracle's ``unit_times`` and ``makespan``.
+"""
 
 import numpy as np
 import pytest
@@ -7,9 +11,9 @@ from repro.machine import (
     cpu_blocked_units,
     cpu_cyclic_units,
     gpu_units,
-    makespan,
 )
 from repro.styles import Granularity
+from tests.machine.scalar_oracle import makespan, unit_times
 
 
 class TestMakespan:
@@ -33,7 +37,7 @@ class TestThreadGranularity:
             block_size=256, resident_threads=1024,
         )
         assert units.n_units == 2
-        total, longest = units.times(alpha=1.0, beta_par=1.0, beta_ser=0.0)
+        total, longest = unit_times(units, alpha=1.0, beta_par=1.0, beta_ser=0.0)
         # warp 0: 1 + 31; warp 1: 1 + 63.
         assert total == pytest.approx((1 + 31) + (1 + 63))
         assert longest == pytest.approx(1 + 63)
@@ -45,7 +49,7 @@ class TestThreadGranularity:
             block_size=256, resident_threads=1024,
         )
         assert units.n_units == 1
-        _, longest = units.times(0.0, 1.0, 0.0)
+        _, longest = unit_times(units, 0.0, 1.0, 0.0)
         assert longest == 9.0
 
     def test_persistent_strided_assignment(self):
@@ -56,7 +60,7 @@ class TestThreadGranularity:
             block_size=256, resident_threads=4,
         )
         assert units.n_units == 1  # 4 threads = a fraction of one warp
-        total, longest = units.times(0.0, 1.0, 0.0)
+        total, longest = unit_times(units, 0.0, 1.0, 0.0)
         # Thread sums: 11, 22, 33, 44 -> warp max 44.
         assert longest == 44.0
         assert total == 44.0
@@ -70,7 +74,7 @@ class TestWarpBlockGranularity:
             block_size=256, resident_threads=10**6,
         )
         assert units.n_units == 2
-        total, _ = units.times(0.0, 1.0, 0.0)
+        total, _ = unit_times(units, 0.0, 1.0, 0.0)
         assert total == np.ceil(64 / 32) + np.ceil(100 / 32)
 
     def test_block_width(self):
@@ -87,7 +91,7 @@ class TestWarpBlockGranularity:
             trips, 1, Granularity.WARP, False,
             block_size=256, resident_threads=10**6,
         )
-        total_ser, _ = units.times(0.0, 0.0, 1.0)
+        total_ser, _ = unit_times(units, 0.0, 0.0, 1.0)
         assert total_ser == 100.0  # raw trips for same-address atomics
 
     def test_warp_persistent(self):
@@ -97,7 +101,7 @@ class TestWarpBlockGranularity:
             block_size=256, resident_threads=64,  # two resident warps
         )
         assert units.n_units == 2
-        total, longest = units.times(0.0, 1.0, 0.0)
+        total, longest = unit_times(units, 0.0, 1.0, 0.0)
         # Warp 0 gets items 0, 2 (1 + 2 strips); warp 1 gets 1, 3.
         assert total == 6.0
         assert longest == 3.0
@@ -110,7 +114,7 @@ class TestUniformFastPath:
             block_size=256, resident_threads=10**6,
         )
         assert units.base is None and units.trips_par is None
-        total, longest = units.times(2.0, 0.0, 0.0)
+        total, longest = unit_times(units, 2.0, 0.0, 0.0)
         assert total == 2.0 * units.n_units
         assert longest == 2.0
         assert units.n_units == int(np.ceil(1000 / 32))
@@ -129,7 +133,7 @@ class TestUniformFastPath:
             block_size=256, resident_threads=64,
         )
         assert units.n_units == 0
-        assert units.times(1.0, 1.0, 1.0) == (0.0, 0.0)
+        assert unit_times(units, 1.0, 1.0, 1.0) == (0.0, 0.0)
 
 
 class TestCpuUnits:
@@ -137,7 +141,7 @@ class TestCpuUnits:
         inner = np.array([1, 1, 1, 100], dtype=np.int64)
         units = cpu_blocked_units(inner, 4, threads=2)
         # Thread 0: items 0, 1; thread 1: items 2, 3.
-        total, longest = units.times(0.0, 1.0, 0.0)
+        total, longest = unit_times(units, 0.0, 1.0, 0.0)
         assert total == 103.0
         assert longest == 101.0
 
@@ -145,7 +149,7 @@ class TestCpuUnits:
         inner = np.array([1, 1, 1, 100], dtype=np.int64)
         units = cpu_cyclic_units(inner, 4, threads=2)
         # Thread 0: items 0, 2; thread 1: items 1, 3.
-        _, longest = units.times(0.0, 1.0, 0.0)
+        _, longest = unit_times(units, 0.0, 1.0, 0.0)
         assert longest == 101.0
 
     def test_cyclic_balances_gradient(self):
@@ -153,8 +157,8 @@ class TestCpuUnits:
         inner = np.arange(100, dtype=np.int64)
         blocked = cpu_blocked_units(inner, 100, threads=4)
         cyclic = cpu_cyclic_units(inner, 100, threads=4)
-        _, longest_blocked = blocked.times(0.0, 1.0, 0.0)
-        _, longest_cyclic = cyclic.times(0.0, 1.0, 0.0)
+        _, longest_blocked = unit_times(blocked, 0.0, 1.0, 0.0)
+        _, longest_cyclic = unit_times(cyclic, 0.0, 1.0, 0.0)
         assert longest_cyclic < longest_blocked
 
     def test_fewer_items_than_threads(self):
@@ -163,7 +167,7 @@ class TestCpuUnits:
 
     def test_uniform(self):
         units = cpu_blocked_units(None, 64, threads=8)
-        total, longest = units.times(1.0, 0.0, 0.0)
+        total, longest = unit_times(units, 1.0, 0.0, 0.0)
         assert longest == 8.0
         assert total == 64.0
 

@@ -90,25 +90,25 @@ class TestLauncherWiring:
         with pytest.raises(BudgetExceeded):
             launcher.run(_spec(), _graph(), TITAN_V)
 
-    def test_run_batch_records_budget_skip(self):
+    def test_one_device_matrix_records_budget_skip(self):
         launcher = Launcher(budget=ResourceBudget(max_bytes=16))
         failures = []
-        out = launcher.run_batch(
-            [_spec()], _graph(), RTX_3090,
-            on_error=lambda spec, exc: failures.append(exc),
+        out = launcher.run_matrix(
+            [_spec()], _graph(), [RTX_3090],
+            on_error=lambda spec, device, exc: failures.append(exc),
         )
-        assert out == [None]
+        assert out == [[None]]
         assert len(failures) == 1
         assert isinstance(failures[0], BudgetExceeded)
 
     def test_sim_seconds_budget_skips_after_timing(self):
         launcher = Launcher(budget=ResourceBudget(max_seconds=1e-30))
         failures = []
-        out = launcher.run_batch(
-            [_spec(model=Model.OPENMP)], _graph(), THREADRIPPER_2950X,
-            on_error=lambda spec, exc: failures.append(exc),
+        out = launcher.run_matrix(
+            [_spec(model=Model.OPENMP)], _graph(), [THREADRIPPER_2950X],
+            on_error=lambda spec, device, exc: failures.append(exc),
         )
-        assert out == [None]
+        assert out == [[None]]
         assert all(isinstance(e, BudgetExceeded) for e in failures)
 
     def test_inactive_budget_runs_normally(self):

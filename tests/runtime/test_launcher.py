@@ -1,9 +1,16 @@
 """Unit tests for the launcher (caching, pairing, results)."""
 
+import dataclasses
+
 import pytest
 
 from repro.graph import load_dataset
-from repro.machine import RTX_3090, THREADRIPPER_2950X
+from repro.machine import (
+    RTX_3090,
+    THREADRIPPER_2950X,
+    TITAN_V,
+    XEON_GOLD_6226R,
+)
 from repro.runtime import Launcher
 from repro.styles import (
     Algorithm,
@@ -11,6 +18,7 @@ from repro.styles import (
     Persistence,
     enumerate_specs,
 )
+from tests.machine import scalar_oracle
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +69,39 @@ class TestRun:
         a = launcher.run(cuda_spec(), graph, RTX_3090)
         b = launcher.run(cuda_spec(), graph, RTX_3090)
         assert a.seconds == b.seconds
+
+    def test_run_is_a_one_cell_matrix(self, launcher, graph):
+        """Every Launcher.run equals the matching run_matrix cell, and
+        both equal the frozen scalar oracle."""
+        for model, devices in (
+            (Model.CUDA, [RTX_3090, TITAN_V]),
+            (Model.OPENMP, [THREADRIPPER_2950X, XEON_GOLD_6226R]),
+        ):
+            specs = enumerate_specs(Algorithm.BFS, model)[:12]
+            matrix = launcher.run_matrix(specs, graph, devices)
+            for d, device in enumerate(devices):
+                for i, spec in enumerate(specs):
+                    cell = matrix[d][i]
+                    assert launcher.run(spec, graph, device) == cell
+                    trace = launcher.execute_semantic(spec, graph).trace
+                    assert cell.seconds == scalar_oracle.time_trace(
+                        trace, spec, device
+                    )
+
+    def test_same_name_device_specs_are_timed_apart(self, launcher, graph):
+        """A spec that only shares its name with a device already timed
+        must get its own model, not the first one's."""
+        starved = dataclasses.replace(
+            RTX_3090,
+            mem_bytes_per_cycle=RTX_3090.mem_bytes_per_cycle / 8,
+            l2_size_bytes=1,
+        )
+        assert starved.name == RTX_3090.name
+        original = launcher.run(cuda_spec(), graph, RTX_3090)
+        shared = launcher.run(cuda_spec(), graph, starved)
+        fresh = Launcher().run(cuda_spec(), graph, starved)
+        assert shared.seconds == fresh.seconds
+        assert shared.seconds != original.seconds
 
 
 class TestTraceCache:

@@ -16,10 +16,11 @@ three times against a fresh store:
 
 **Vectorized matrix timing** (``BENCH_matrix.json``).  The warm
 sweep-block workload (PR x soc-LiveJournal1 at tiny scale, all models
-and devices) timed under the per-spec scalar loop and under the
-vectorized ``Launcher.run_matrix`` path; the vectorized path must be
-bit-identical and beat the scalar loop by at least
-``--min-matrix-speedup``.  A worker-scaling curve of the parallel sweep
+and devices) timed under the per-spec scalar loop — the frozen
+per-launch walk of ``tests/machine/scalar_oracle.py``, one call per
+(spec, device) cell — and under the vectorized ``Launcher.run_matrix``
+path; the vectorized path must be bit-identical and beat the scalar loop
+by at least ``--min-matrix-speedup``.  A worker-scaling curve of the parallel sweep
 (``--scaling-workers``) is recorded alongside, ungated — CI runners have
 too few cores for a meaningful gate.
 
@@ -49,6 +50,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(1, str(REPO_ROOT))  # the scalar oracle under tests/
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_tracestore.json"
 DEFAULT_MATRIX_JSON = REPO_ROOT / "BENCH_matrix.json"
@@ -85,8 +87,9 @@ def matrix_smoke(args) -> tuple:
     """Time per-spec vs vectorized-matrix on the warm block workload."""
     from repro.bench import SweepConfig, run_sweep_parallel
     from repro.graph import load_dataset
-    from repro.runtime import Launcher
+    from repro.runtime import Launcher, RunResult
     from repro.styles import Algorithm, enumerate_specs
+    from tests.machine import scalar_oracle
 
     config = SweepConfig(scale="tiny", algorithms=(Algorithm.PR,))
     graph = load_dataset("soc-LiveJournal1", "tiny")
@@ -99,12 +102,23 @@ def matrix_smoke(args) -> tuple:
     ]
 
     def per_spec():
-        return [
-            launcher.run(spec, graph, device)
-            for specs, devices in work
-            for spec in specs
-            for device in devices
-        ]
+        runs = []
+        for specs, devices in work:
+            for spec in specs:
+                trace = launcher.execute_semantic(spec, graph).trace
+                for device in devices:
+                    seconds = scalar_oracle.time_trace(trace, spec, device)
+                    runs.append(RunResult(
+                        spec=spec,
+                        device=device.name,
+                        graph=graph.name,
+                        seconds=seconds,
+                        throughput_ges=graph.n_edges / seconds / 1e9,
+                        verified=launcher.verify,
+                        iterations=trace.iterations,
+                        launches=trace.n_launches,
+                    ))
+        return runs
 
     def vectorized():
         runs = []
