@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bench import StudyResults, SweepConfig, run_sweep
-from repro.graph import analyze, load_all
+from repro.graph import analyze
 
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
 

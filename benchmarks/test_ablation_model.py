@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.graph import load_dataset
-from repro.kernels import BFSKernel
 from repro.machine import RTX_3090, THREADRIPPER_2950X, time_matrix
 from repro.machine.trace import ExecutionTrace, IterationProfile
 from repro.runtime import Launcher
@@ -28,7 +27,6 @@ from repro.styles import (
     AtomicFlavor,
     Determinism,
     Driver,
-    Dup,
     Flow,
     Granularity,
     Iteration,
@@ -38,7 +36,6 @@ from repro.styles import (
     StyleSpec,
     Update,
 )
-from repro.styles.spec import SemanticKey
 
 
 def cuda_style(**kw):

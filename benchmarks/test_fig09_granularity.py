@@ -10,7 +10,6 @@ block-based parallelization tends to be the slowest (no input has enough
 
 import numpy as np
 
-from repro.bench import throughputs_by_option
 from repro.bench.report import render_throughput_figure
 from repro.styles import Granularity, Model
 

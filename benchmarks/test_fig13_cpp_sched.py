@@ -6,8 +6,6 @@ ratios below 1 — its per-vertex work falls with the loop index, which is
 exactly the Section 2.12 imbalance case).
 """
 
-import numpy as np
-
 from repro.bench import ratios_by_algorithm
 from repro.bench.report import render_ratio_figure
 from repro.styles import Algorithm, CppSchedule, Model

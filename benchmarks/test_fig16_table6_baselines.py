@@ -11,7 +11,7 @@ CPU models.
 
 from repro.bench.comparison import baseline_speedups, table6
 from repro.bench.report import render_table6
-from repro.styles import Algorithm, Model
+from repro.styles import Model
 
 from conftest import requires_default_scale
 

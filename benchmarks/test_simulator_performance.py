@@ -7,14 +7,14 @@ the ratio statistics — the costs that bound a full-study sweep.
 The sweep-block benchmark at the bottom times one full (algorithm, graph)
 block end-to-end under both execution styles — per-spec ``Launcher.run``
 calls (the pre-batching sweep body) and the batched
-``sweep_block_runs``/``time_matrix`` path — and exports the numbers
-to ``BENCH_sweep.json`` at the repository root so future PRs can track
-the sweep-performance trajectory.
+``sweep_block_runs``/``time_matrix`` path — and writes the numbers to
+``BENCH_sweep.json`` in the test's temporary directory (the tracked
+sweep-performance trajectory is ``BENCH_matrix.json``, recorded by
+``tools/perf_smoke.py``).
 """
 
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,9 +23,6 @@ from repro.graph import load_dataset
 from repro.machine import RTX_3090, THREADRIPPER_2950X, time_matrix
 from repro.runtime import Launcher
 from repro.styles import Algorithm, Granularity, Model, enumerate_specs
-
-BENCH_SWEEP_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
-
 
 @pytest.fixture(scope="module")
 def road():
@@ -133,10 +130,11 @@ def _block_batched(launcher, graph):
     return runs
 
 
-def test_sweep_block_batched_vs_per_spec(social):
+def test_sweep_block_batched_vs_per_spec(social, tmp_path):
     """Batched mapping-variant timing must beat the per-spec loop on a
     full (algorithm, graph) block, at workers=1, with identical results.
-    The measured numbers are exported to BENCH_sweep.json."""
+    The measured numbers are written to BENCH_sweep.json under
+    ``tmp_path``."""
     launcher = Launcher()
     per_spec_runs = _block_per_spec(launcher, social)
     batched_runs = _block_batched(launcher, social)
@@ -160,5 +158,7 @@ def test_sweep_block_batched_vs_per_spec(social):
         "batched_seconds": round(batched, 6),
         "batched_speedup": round(speedup, 3),
     }
-    BENCH_SWEEP_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    (tmp_path / "BENCH_sweep.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
     assert speedup > 1.0, f"batched timing slower than per-spec: {payload}"

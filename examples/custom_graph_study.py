@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.bench import SweepConfig, run_sweep
 from repro.graph import analyze, load_graph, rmat, write_matrix_market
-from repro.styles import Algorithm, Model
+from repro.styles import Algorithm
 
 
 def demo_graph() -> Path:

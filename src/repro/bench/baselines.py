@@ -275,7 +275,7 @@ def _mis_baseline(graph: CSRGraph, source: int, model: Model) -> ExecutionTrace:
 # (CPU).
 # ----------------------------------------------------------------------
 def _pr_baseline(graph: CSRGraph, source: int, model: Model) -> ExecutionTrace:
-    from ..kernels.pr import DAMPING, PageRankKernel, TOLERANCE
+    from ..kernels.pr import PageRankKernel
     from ..styles.spec import SemanticKey
     from ..styles.axes import Determinism, Driver, Flow, Iteration, Update
 

@@ -673,7 +673,6 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from ..graph.datasets import load_dataset as _load
     from ..machine.inspect import render_trace, trace_to_csv
 
     alg = Algorithm(args.algorithm)

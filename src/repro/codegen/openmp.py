@@ -457,7 +457,6 @@ static long long merge_count(const Graph& g, int v, int u) {
 
 
 def _emit_relax_driver(w: CodeWriter, spec: StyleSpec) -> None:
-    alg = spec.algorithm
     data = spec.driver is Driver.DATA
     det = spec.determinism is Determinism.DETERMINISTIC
     if data:

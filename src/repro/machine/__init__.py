@@ -14,13 +14,7 @@ from .devices import (
 from .gpu import GPUModel
 from .inspect import ProfileSummary, render_trace, summarize_trace, trace_to_csv
 from .matrix import model_for_device, time_matrix
-from .scheduling import (
-    WARP_WIDTH,
-    UnitDecomposition,
-    cpu_blocked_units,
-    cpu_cyclic_units,
-    gpu_units,
-)
+from .scheduling import WARP_WIDTH
 from .specs import CPUSpec, GPUSpec
 from .trace import (
     ExecutionTrace,
@@ -52,9 +46,5 @@ __all__ = [
     "summarize_trace",
     "trace_to_csv",
     "render_trace",
-    "UnitDecomposition",
-    "gpu_units",
-    "cpu_blocked_units",
-    "cpu_cyclic_units",
     "WARP_WIDTH",
 ]

@@ -34,20 +34,11 @@ from ..styles.axes import (
     OmpSchedule,
 )
 from ..styles.spec import StyleSpec
-from .scheduling import (
-    UnitDecomposition,
-    cached_decomposition,
-    cpu_blocked_units,
-    cpu_cyclic_units,
-    cpu_uniform_geometry,
-    stack_decompositions,
-)
+from .scheduling import cpu_uniform_geometry, cpu_unit_cut
 from .specs import CPUSpec
-from .trace import ExecutionTrace, IterationProfile, ProfileMatrix
+from .trace import ExecutionTrace, ProfileMatrix
 
 __all__ = ["CPUModel"]
-
-_DECOMP_CACHE_ATTR = "_cpu_decomp_cache"
 
 
 class CPUModel:
@@ -140,16 +131,6 @@ class CPUModel:
             cycles[pm.nonzero] += add.T
         totals = pm.step_totals(cycles)
         return [float(s.seconds(t)) for t in totals]
-
-    # ------------------------------------------------------------------
-    def _units_for(self, p: IterationProfile, cyclic: bool) -> UnitDecomposition:
-        builder = cpu_cyclic_units if cyclic else cpu_blocked_units
-        return cached_decomposition(
-            p,
-            _DECOMP_CACHE_ATTR,
-            (cyclic, self.spec.threads),
-            lambda: builder(p.inner, p.n_items, self.spec.threads),
-        )
 
     # ------------------------------------------------------------------
     def _core_cycles_batch(
@@ -247,36 +228,30 @@ class CPUModel:
         total = np.empty_like(alpha)
         longest = np.empty_like(alpha)
         n_units = np.empty(alpha.shape, dtype=np.int64)
+        # Every launch runs on min(threads, n_items) threads, so CPUs with
+        # more threads than the largest launch share one geometry.
+        slot_cap = min(s.threads, int(pm.n_items_int.max()))
         uniform = ~pm.has_inner
         if uniform.any():
             units_u, base_u = pm.geometry(
-                ("cpu", s.threads),
+                ("cpu-uniform", slot_cap),
                 lambda: cpu_uniform_geometry(
-                    pm.n_items_int[uniform], s.threads
+                    pm.n_items_int[uniform], slot_cap
                 ),
             )
             t = alpha[uniform] * base_u
             total[uniform] = t * units_u
             longest[uniform] = t
             n_units[uniform] = units_u
-        arrayful = np.flatnonzero(pm.has_inner)
-        if arrayful.size:
-            stacked = pm.geometry(
-                ("cpu-stack", cyclic, s.threads),
-                lambda: stack_decompositions(
-                    [
-                        self._units_for(pm.profiles[j], cyclic)
-                        for j in arrayful
-                    ],
-                    arrayful,
-                ),
+        steps = pm.ragged
+        if steps.order.size:
+            cut = pm.geometry(
+                ("cpu-cut", cyclic, slot_cap),
+                lambda: cpu_unit_cut(steps, cyclic, slot_cap),
             )
-            for su in stacked:
-                pos = su.positions
-                total[pos], longest[pos] = su.times_batch(
-                    alpha[pos], beta[pos]
-                )
-                n_units[pos] = su.n_units
+            pos = steps.order
+            total[pos], longest[pos] = cut.times(alpha[pos], beta[pos])
+            n_units[pos] = cut.n_units
         # Greedy list-scheduling bound: max(total / units, longest unit).
         return np.maximum(total / n_units, longest)
 
@@ -285,7 +260,6 @@ class CPUModel:
     ) -> np.ndarray:
         """Bandwidth bound over the nonzero steps: streaming structure +
         scattered data traffic."""
-        s = self.spec
         struct_bytes = 4.0 * load_factor * (
             pm.struct_loads_base * pm.n_items
             + pm.struct_loads_inner * pm.total_inner

@@ -41,18 +41,14 @@ from ..styles.axes import (
 from ..styles.spec import StyleSpec
 from .scheduling import (
     WARP_WIDTH,
-    UnitDecomposition,
-    cached_decomposition,
+    gpu_cut_geometry,
     gpu_uniform_geometry,
-    gpu_units,
-    stack_decompositions,
+    gpu_unit_cut,
 )
 from .specs import GPUSpec
-from .trace import ExecutionTrace, IterationProfile, ProfileMatrix
+from .trace import ExecutionTrace, ProfileMatrix
 
 __all__ = ["GPUModel"]
-
-_DECOMP_CACHE_ATTR = "_gpu_decomp_cache"
 
 #: Independent L2 atomic units: collisions on different addresses are
 #: processed concurrently across this many banks.
@@ -237,41 +233,35 @@ class GPUModel:
         # max(width-weighted total / issue slots, longest unit).
         total = np.empty_like(alpha)
         longest = np.empty_like(alpha)
+        lanes, slot_cap = gpu_cut_geometry(
+            gran, persistent,
+            block_size=s.block_size,
+            resident_threads=s.resident_threads,
+            max_items=int(pm.n_items_int.max()),
+        )
         uniform = ~pm.has_inner
         if uniform.any():
-            units_u, base_u, _ = pm.geometry(
-                ("gpu", gran, persistent, s.block_size, s.resident_threads),
+            units_u, base_u = pm.geometry(
+                ("gpu-uniform", gran, lanes, slot_cap),
                 lambda: gpu_uniform_geometry(
-                    pm.n_items_int[uniform], gran, persistent,
-                    block_size=s.block_size,
-                    resident_threads=s.resident_threads,
+                    pm.n_items_int[uniform], gran, slot_cap
                 ),
             )
             t = alpha[:, uniform] * base_u
             total[:, uniform] = t * units_u
             longest[:, uniform] = t
-        arrayful = np.flatnonzero(pm.has_inner)
-        if arrayful.size:
-            stacked = pm.geometry(
-                (
-                    "gpu-stack", gran, persistent,
-                    s.block_size, s.resident_threads,
-                ),
-                lambda: stack_decompositions(
-                    [
-                        self._units(pm.profiles[j], gran, persistent)
-                        for j in arrayful
-                    ],
-                    arrayful,
-                ),
+        steps = pm.ragged
+        if steps.order.size:
+            cut = pm.geometry(
+                ("gpu-cut", gran, lanes, slot_cap),
+                lambda: gpu_unit_cut(steps, gran, lanes, slot_cap),
             )
-            for su in stacked:
-                pos = su.positions
-                total[:, pos], longest[:, pos] = su.times_batch(
-                    alpha[:, pos],
-                    beta_par[:, pos],
-                    None if beta_ser is None else beta_ser[:, pos],
-                )
+            pos = steps.order
+            total[:, pos], longest[:, pos] = cut.times(
+                alpha[:, pos],
+                beta_par[:, pos],
+                None if beta_ser is None else beta_ser[:, pos],
+            )
         width = (
             s.block_size / WARP_WIDTH if gran is Granularity.BLOCK else 1.0
         )
@@ -385,25 +375,3 @@ class GPUModel:
                 + n_blocks * s.cycles_hot_atomic
             )
         return np.where(items > 0, val, 0.0)
-
-    # ------------------------------------------------------------------
-    def _units(
-        self, p: IterationProfile, gran: Granularity, persistent: bool
-    ) -> UnitDecomposition:
-        """Decompose with a per-profile memo (mapping variants re-time the
-        same profiles; the decomposition depends only on gran/persistence
-        and this device's geometry)."""
-        key = (gran, persistent, self.spec.block_size, self.spec.resident_threads)
-        return cached_decomposition(
-            p,
-            _DECOMP_CACHE_ATTR,
-            key,
-            lambda: gpu_units(
-                p.inner,
-                p.n_items,
-                gran,
-                persistent,
-                block_size=self.spec.block_size,
-                resident_threads=self.spec.resident_threads,
-            ),
-        )

@@ -21,6 +21,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from .scheduling import RaggedSteps
+
 __all__ = [
     "IterationProfile",
     "ExecutionTrace",
@@ -201,14 +203,19 @@ class ProfileMatrix:
     unrestricted matrix.  All counts are exactly representable in float64
     (they are far below 2**53), so stacking loses no precision.
 
+    The nonzero steps with an inner loop additionally have their trip
+    arrays concatenated once, with their start positions, into
+    :attr:`ragged` (a :class:`~repro.machine.scheduling.RaggedSteps`
+    indexed by nonzero row): the device-independent input from which each
+    device cut derives every launch's per-unit work in one pass.
+
     Built once per trace via :meth:`ExecutionTrace.profile_matrix` and
-    cached there; :attr:`profiles` keeps the nonzero steps' profile
-    objects so per-step :class:`UnitDecomposition` memos stay shared with
-    the scalar path.
+    cached there, together with every cut and cycle matrix derived from
+    it (:meth:`geometry`).
     """
 
-    __slots__ = ("data", "n_steps", "nonzero", "profiles", "n_items_int",
-                 "has_inner", "same_address", "atomic_minmax",
+    __slots__ = ("data", "n_steps", "nonzero", "n_items_int", "has_inner",
+                 "same_address", "atomic_minmax", "ragged",
                  "_geometry") + PROFILE_FIELDS
 
     def __init__(self, profiles: List[IterationProfile]):
@@ -242,7 +249,6 @@ class ProfileMatrix:
             setattr(self, name, sub[:, i])
         self.n_items_int = sub[:, 0].astype(np.int64)
         live = [profiles[k] for k in nonzero]
-        self.profiles = live
         self.has_inner = np.array(
             [p.inner is not None for p in live], dtype=bool
         )
@@ -252,12 +258,16 @@ class ProfileMatrix:
         self.atomic_minmax = np.array(
             [p.atomic_minmax for p in live], dtype=bool
         )
+        self.ragged = RaggedSteps(
+            np.flatnonzero(self.has_inner),
+            [p.inner for p in live if p.inner is not None],
+        )
         self._geometry: dict = {}
 
     def geometry(self, key, builder):
-        """Memoize a device-geometry-dependent derivation (e.g. the
-        uniform-step unit decomposition vectors of one (granularity,
-        persistence) pair) for the lifetime of this matrix."""
+        """Memoize a geometry-dependent derivation (e.g. the
+        :class:`~repro.machine.scheduling.UnitCut` of one granularity and
+        resident-slot count) for the lifetime of this matrix."""
         value = self._geometry.get(key)
         if value is None:
             value = builder()

@@ -87,9 +87,12 @@ class TestAdvisor:
         g = power_law(300, 8, seed=1)
         fast = advise(g, diameter=2)
         slow = advise(g, diameter=500)
-        get = lambda rep: next(
-            r.choice for r in rep.recommendations
-            if r.axis == "driver" and r.model is None
-        )
+
+        def get(rep):
+            return next(
+                r.choice for r in rep.recommendations
+                if r.axis == "driver" and r.model is None
+            )
+
         assert get(fast) == "topology"
         assert get(slow) == "data"

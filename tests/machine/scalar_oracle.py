@@ -3,26 +3,33 @@
 These are the original per-launch walks of :mod:`repro.machine.gpu`,
 :mod:`repro.machine.cpu` and :mod:`repro.machine.scheduling` —
 ``time_trace``, ``profile_cycles``, ``_core_cycles``, ``_memory_cycles``,
-``_reduction_cycles``, the CPU ``_schedule_cycles``/``_units``,
-``UnitDecomposition.times`` and ``makespan`` — kept verbatim as a test
-oracle.  The package itself times traces only through the vectorized
-:func:`repro.machine.time_matrix` path; the identity tests check that
-every cell of it equals this walk bit for bit.  Do not edit these bodies:
-they pin the model's floats.
+``_reduction_cycles``, the CPU ``_schedule_cycles``/``_units``, the
+per-launch unit decompositions (:class:`UnitDecomposition`,
+:func:`gpu_units`, :func:`cpu_blocked_units`, :func:`cpu_cyclic_units`
+and their helpers), ``UnitDecomposition.times`` and ``makespan`` — kept
+verbatim as a test oracle.  The package itself times traces only through
+the vectorized :func:`repro.machine.time_matrix` path, which cuts every
+launch of a trace into units in one ragged pass; the identity tests check
+that every cell of it equals this walk bit for bit.  Do not edit these
+bodies: they pin the model's floats.
 
 The only changes from the originals are at call sites: the model methods
 live on :class:`ScalarGPUModel`/:class:`ScalarCPUModel` subclasses (which
-reuse the production bandwidth resolution, style context and unit
-decompositions), ``UnitDecomposition.times`` is the free function
-:func:`unit_times`, and the GPU style context no longer carries its
-unused core key.
+reuse the production bandwidth resolution and style context, but build
+their unit decompositions here, launch by launch, memoized per profile
+by :func:`memoized_units`), ``UnitDecomposition.times`` is the free
+function :func:`unit_times`, and the GPU style context no longer carries
+its unused core key.
 """
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.machine.cpu import CPUModel
 from repro.machine.gpu import L2_BANKS, GPUModel
-from repro.machine.scheduling import WARP_WIDTH, UnitDecomposition
+from repro.machine.scheduling import WARP_WIDTH
 from repro.machine.specs import CPUSpec, GPUSpec
 from repro.machine.trace import ExecutionTrace, IterationProfile
 from repro.styles.axes import (
@@ -37,6 +44,10 @@ from repro.styles.axes import (
 from repro.styles.spec import StyleSpec
 
 __all__ = [
+    "UnitDecomposition",
+    "gpu_units",
+    "cpu_blocked_units",
+    "cpu_cyclic_units",
     "ScalarGPUModel",
     "ScalarCPUModel",
     "scalar_model",
@@ -44,6 +55,252 @@ __all__ = [
     "unit_times",
     "makespan",
 ]
+
+
+# ----------------------------------------------------------------------
+# Unit decompositions
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class UnitDecomposition:
+    """Per-execution-unit serial work of one launch.
+
+    A "unit" is whatever executes serially with respect to itself: a warp
+    (thread/warp granularity), a block (block granularity), or a CPU
+    thread.  To keep memory bounded for launches with hundreds of
+    thousands of units, the representation is sparse: a ``None`` array
+    with the matching ``uniform_*`` scalar set means "this component is
+    identical for every unit" (e.g. each warp/block owns exactly one item,
+    or there is no inner loop).  ``trips_ser`` may alias the launch's raw
+    trip array — it is never mutated.
+
+    Attributes
+    ----------
+    base:
+        Per-unit count of serialized item-base executions
+        (or ``uniform_base`` for all units).
+    trips_par:
+        Per-unit inner trips after strip-mining (lanes share the loop).
+    trips_ser:
+        Per-unit raw inner trips (for operations that cannot be
+        strip-mined, e.g. same-address atomics).
+    width:
+        Warp-issue slots one unit occupies (1 for warps, block_size/32 for
+        blocks, 1 for CPU threads).
+    n_units:
+        Number of units.
+    """
+
+    base: Optional[np.ndarray]
+    trips_par: Optional[np.ndarray]
+    trips_ser: Optional[np.ndarray]
+    width: float
+    n_units: int
+    uniform_base: float = 0.0
+    uniform_trips: float = 0.0
+
+
+# ----------------------------------------------------------------------
+# Shared helpers
+# ----------------------------------------------------------------------
+def _pad_reshape(values: np.ndarray, width: int) -> np.ndarray:
+    """Pad with zeros to a multiple of ``width`` and reshape to rows."""
+    n = values.size
+    rows = -(-n // width)
+    if rows * width != n:
+        padded = np.zeros(rows * width, dtype=values.dtype)
+        padded[:n] = values
+        values = padded
+    return values.reshape(rows, width)
+
+
+def _strided_sums(values: np.ndarray, n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot (count, sum) under cyclic assignment item ``i -> i % n_slots``."""
+    n = values.size
+    counts = np.full(n_slots, n // n_slots, dtype=np.int64)
+    counts[: n % n_slots] += 1
+    waves = _pad_reshape(values, n_slots)
+    return counts, waves.sum(axis=0)
+
+
+def _contiguous_sums(values: np.ndarray, n_slots: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-slot (count, sum) under blocked assignment (contiguous chunks).
+
+    Chunk boundaries follow the OpenMP static convention:
+    slot ``t`` gets ``[t*n//T, (t+1)*n//T)``.
+    """
+    n = values.size
+    bounds = (np.arange(n_slots + 1, dtype=np.int64) * n) // n_slots
+    csum = np.concatenate([[0], np.cumsum(values, dtype=np.int64)])
+    sums = csum[bounds[1:]] - csum[bounds[:-1]]
+    counts = np.diff(bounds)
+    return counts, sums
+
+
+def _lockstep_warps(
+    base: np.ndarray, trips: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Collapse per-thread work into per-warp work (lockstep: lane max)."""
+    return (
+        _pad_reshape(base, WARP_WIDTH).max(axis=1).astype(np.float64),
+        _pad_reshape(trips, WARP_WIDTH).max(axis=1),
+    )
+
+
+# ----------------------------------------------------------------------
+# GPU decompositions
+# ----------------------------------------------------------------------
+def gpu_units(
+    inner: Optional[np.ndarray],
+    n_items: int,
+    granularity: Granularity,
+    persistent: bool,
+    *,
+    block_size: int,
+    resident_threads: int,
+) -> UnitDecomposition:
+    """Decompose a GPU launch into warp- or block-level units.
+
+    ``inner is None`` means every item is identical (no inner loop): the
+    decomposition collapses to the uniform fast path.
+    """
+    if n_items == 0:
+        return UnitDecomposition(None, None, None, 1.0, 0)
+
+    if inner is None:
+        return _gpu_units_uniform(
+            n_items, granularity, persistent,
+            block_size=block_size, resident_threads=resident_threads,
+        )
+
+    trips = inner
+    if granularity is Granularity.THREAD:
+        if persistent:
+            slots = min(resident_threads, n_items)
+            counts, sums = _strided_sums(trips, slots)
+            wbase, wtrips = _lockstep_warps(counts, sums)
+            return UnitDecomposition(wbase, wtrips, wtrips, 1.0, wbase.size)
+        # Lockstep warps of one item per lane: every warp runs the item
+        # base once; its trip time is the slowest lane's trip count.
+        wtrips = _pad_reshape(trips, WARP_WIDTH).max(axis=1)
+        return UnitDecomposition(
+            None, wtrips, wtrips, 1.0, wtrips.size, uniform_base=1.0
+        )
+
+    lane_width = WARP_WIDTH if granularity is Granularity.WARP else block_size
+    unit_width = 1.0 if granularity is Granularity.WARP else block_size / WARP_WIDTH
+    strip = -(-trips // lane_width)  # ceil(t / lanes): strip-mined trips
+    if persistent:
+        n_resident_units = max(1, resident_threads // lane_width)
+        slots = min(n_resident_units, n_items)
+        counts, strip_sums = _strided_sums(strip, slots)
+        _, raw_sums = _strided_sums(trips, slots)
+        return UnitDecomposition(
+            counts.astype(np.float64),
+            strip_sums,
+            raw_sums,
+            unit_width,
+            slots,
+        )
+    # One unit per item; the raw trip array is aliased, never copied.
+    return UnitDecomposition(
+        None, strip, trips, unit_width, n_items, uniform_base=1.0
+    )
+
+
+def _gpu_units_uniform(
+    n_items: int,
+    granularity: Granularity,
+    persistent: bool,
+    *,
+    block_size: int,
+    resident_threads: int,
+) -> UnitDecomposition:
+    """Uniform-item fast path (no per-unit arrays needed)."""
+    if granularity is Granularity.THREAD:
+        if persistent:
+            slots = min(resident_threads, n_items)
+            per_thread = -(-n_items // slots)
+            n_units = -(-slots // WARP_WIDTH)
+            return UnitDecomposition(
+                None, None, None, 1.0, n_units,
+                uniform_base=float(per_thread), uniform_trips=0.0,
+            )
+        n_units = -(-n_items // WARP_WIDTH)
+        return UnitDecomposition(None, None, None, 1.0, n_units, uniform_base=1.0)
+
+    lane_width = WARP_WIDTH if granularity is Granularity.WARP else block_size
+    unit_width = 1.0 if granularity is Granularity.WARP else block_size / WARP_WIDTH
+    if persistent:
+        n_units = max(1, min(resident_threads // lane_width, n_items))
+        per_unit = -(-n_items // n_units)
+        return UnitDecomposition(
+            None, None, None, unit_width, n_units, uniform_base=float(per_unit)
+        )
+    return UnitDecomposition(None, None, None, unit_width, n_items, uniform_base=1.0)
+
+
+# ----------------------------------------------------------------------
+# CPU decompositions
+# ----------------------------------------------------------------------
+def cpu_blocked_units(
+    inner: Optional[np.ndarray], n_items: int, threads: int
+) -> UnitDecomposition:
+    """Static contiguous chunks (OpenMP default / C++ blocked)."""
+    if n_items == 0:
+        return UnitDecomposition(None, None, None, 1.0, 0)
+    n_units = min(threads, n_items)
+    if inner is None:
+        per = -(-n_items // n_units)
+        return UnitDecomposition(
+            None, None, None, 1.0, n_units, uniform_base=float(per)
+        )
+    counts, sums = _contiguous_sums(inner, n_units)
+    return UnitDecomposition(
+        counts.astype(np.float64),
+        sums.astype(np.float64),
+        sums.astype(np.float64),
+        1.0,
+        n_units,
+    )
+
+
+def cpu_cyclic_units(
+    inner: Optional[np.ndarray], n_items: int, threads: int
+) -> UnitDecomposition:
+    """Round-robin assignment (C++ cyclic schedule)."""
+    if n_items == 0:
+        return UnitDecomposition(None, None, None, 1.0, 0)
+    n_units = min(threads, n_items)
+    if inner is None:
+        per = -(-n_items // n_units)
+        return UnitDecomposition(
+            None, None, None, 1.0, n_units, uniform_base=float(per)
+        )
+    counts, sums = _strided_sums(inner, n_units)
+    return UnitDecomposition(
+        counts.astype(np.float64),
+        sums.astype(np.float64),
+        sums.astype(np.float64),
+        1.0,
+        n_units,
+    )
+
+
+
+
+def memoized_units(p: IterationProfile, key, builder) -> UnitDecomposition:
+    """A profile's decomposition, built once per (cut, geometry) key.
+
+    The memo lives on the profile, so it is released with the trace; it
+    keeps the per-launch walk as cheap as it was when the production
+    models memoized the same decompositions, which is the baseline
+    ``tools/perf_smoke.py`` measures the vectorized path against.
+    """
+    memo = p.__dict__.setdefault("_oracle_units", {})
+    units = memo.get(key)
+    if units is None:
+        units = memo[key] = builder()
+    return units
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +440,23 @@ class ScalarGPUModel(GPUModel):
         hot_cycles = p.hot_atomics * s.cycles_hot_atomic * flavor_rmw
 
         return max(issue_cycles, mem_cycles) + conflict_cycles + hot_cycles
+
+    def _units(
+        self, p: IterationProfile, gran: Granularity, persistent: bool
+    ) -> UnitDecomposition:
+        s = self.spec
+        return memoized_units(
+            p,
+            ("gpu", gran, persistent, s.block_size, s.resident_threads),
+            lambda: gpu_units(
+                p.inner,
+                p.n_items,
+                gran,
+                persistent,
+                block_size=s.block_size,
+                resident_threads=s.resident_threads,
+            ),
+        )
 
     def _memory_cycles(
         self,
@@ -400,13 +674,18 @@ class ScalarCPUModel(CPUModel):
         return makespan(total, longest, units.n_units or 1)
 
     def _units(self, p: IterationProfile, style: StyleSpec) -> UnitDecomposition:
-        return self._units_for(p, style.cpp_schedule is CppSchedule.CYCLIC)
+        cyclic = style.cpp_schedule is CppSchedule.CYCLIC
+        builder = cpu_cyclic_units if cyclic else cpu_blocked_units
+        return memoized_units(
+            p,
+            ("cpu", cyclic, self.spec.threads),
+            lambda: builder(p.inner, p.n_items, self.spec.threads),
+        )
 
     def _memory_cycles(
         self, p: IterationProfile, load_factor: float, mem_bw: float
     ) -> float:
         """Bandwidth bound: streaming structure + scattered data traffic."""
-        s = self.spec
         n = float(p.n_items)
         inner_total = float(p.total_inner)
         struct_bytes = 4.0 * load_factor * (

@@ -1,21 +1,15 @@
 """Property-based tests on the machine models' structural invariants.
 
-Per-launch cycles and unit times come from the frozen scalar oracle,
-which the vectorized production path matches bit for bit.
+Per-launch cycles, unit decompositions and unit times come from the
+frozen scalar oracle, which the vectorized production path matches bit
+for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import (
-    IterationProfile,
-    RTX_3090,
-    THREADRIPPER_2950X,
-    cpu_blocked_units,
-    cpu_cyclic_units,
-    gpu_units,
-)
+from repro.machine import IterationProfile, RTX_3090, THREADRIPPER_2950X
 from repro.styles import (
     Algorithm,
     AtomicFlavor,
@@ -25,7 +19,14 @@ from repro.styles import (
     Persistence,
     StyleSpec,
 )
-from tests.machine.scalar_oracle import ScalarCPUModel, ScalarGPUModel, unit_times
+from tests.machine.scalar_oracle import (
+    ScalarCPUModel,
+    ScalarGPUModel,
+    cpu_blocked_units,
+    cpu_cyclic_units,
+    gpu_units,
+    unit_times,
+)
 
 
 def cuda_style(gran=Granularity.THREAD, persist=Persistence.NON_PERSISTENT):

@@ -1,33 +1,55 @@
 """Bit-identity of the vectorized variant-matrix timing path.
 
-The vectorized pipeline — :class:`ProfileMatrix` counters, stacked
-cross-step decompositions (:func:`stack_decompositions`), the batched
-``*_batch`` model methods, and :func:`time_matrix` — must reproduce the
-frozen scalar walk of :mod:`tests.machine.scalar_oracle` *bit for bit*:
-the analysis layer compares and ranks these floats, so even one ULP of
-drift could flip a paper figure.
+The vectorized pipeline — :class:`ProfileMatrix` counters, the
+per-trace ragged unit cuts (:mod:`repro.machine.scheduling`), the
+batched ``*_batch`` model methods, and :func:`time_matrix` — must
+reproduce the frozen scalar walk of :mod:`tests.machine.scalar_oracle`
+*bit for bit*: the analysis layer compares and ranks these floats, so
+even one ULP of drift could flip a paper figure.
 Every assertion here is ``==``, never ``approx``.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph import load_dataset
 from repro.machine import (
     DEVICES,
     RTX_3090,
     THREADRIPPER_2950X,
+    TITAN_V,
+    XEON_GOLD_6226R,
     CPUModel,
     ExecutionTrace,
     GPUModel,
     IterationProfile,
+    ProfileMatrix,
     time_matrix,
 )
-from repro.machine.scheduling import UnitDecomposition, stack_decompositions
+from repro.machine import cpu as cpu_module
+from repro.machine import gpu as gpu_module
+from repro.machine.scheduling import CHUNK_UNITS, gpu_unit_cut
 from repro.runtime import Launcher
-from repro.styles import Algorithm, Model, enumerate_specs
+from repro.styles import (
+    Algorithm,
+    AtomicFlavor,
+    CppSchedule,
+    CpuReduction,
+    GpuReduction,
+    Granularity,
+    Iteration,
+    Model,
+    OmpSchedule,
+    Persistence,
+    StyleSpec,
+    enumerate_specs,
+)
 from tests.machine import scalar_oracle
-from tests.machine.scalar_oracle import unit_times
 
 ALL_DEVICES = list(DEVICES.values())
 
@@ -156,63 +178,244 @@ class TestBatchedEdgeTraces:
         assert after != before
 
 
-class TestStackedUnits:
-    """stack_decompositions groups equal-shape rows and reproduces each
-    row's scalar evaluation exactly."""
+# ----------------------------------------------------------------------
+# Differential test at the summation boundaries
+# ----------------------------------------------------------------------
+#: A GPU whose resident grid is smaller than the generated launches, so
+#: persistent launches spread several items over each resident slot
+#: (96 threads: 3 warps, 1 block of 64).
+SMALL_GPU = dataclasses.replace(
+    RTX_3090, name="small GPU", block_size=64, resident_threads=96
+)
+#: A CPU with fewer threads than most generated launches have items.
+SMALL_CPU = dataclasses.replace(THREADRIPPER_2950X, name="small CPU", threads=3)
+BOUNDARY_DEVICES = [
+    RTX_3090, TITAN_V, SMALL_GPU, THREADRIPPER_2950X, XEON_GOLD_6226R,
+    SMALL_CPU,
+]
 
-    def _decomp(self, rng, n_units, with_base=True, with_trips=True):
-        return UnitDecomposition(
-            base=rng.rand(n_units) if with_base else None,
-            trips_par=rng.rand(n_units) if with_trips else None,
-            trips_ser=rng.rand(n_units) if with_trips else None,
-            width=1.0,
-            n_units=n_units,
-            uniform_base=0.0 if with_base else 1.5,
+#: One style per GPU/CPU mapping context, plus the reduction axes.
+BOUNDARY_STYLES = [
+    StyleSpec(
+        algorithm=Algorithm.PR, model=Model.CUDA, iteration=iteration,
+        granularity=gran, persistence=persistence, atomic_flavor=flavor,
+        gpu_reduction=red,
+    )
+    for gran, persistence, flavor, (iteration, red) in itertools.product(
+        Granularity, Persistence, AtomicFlavor,
+        [(Iteration.VERTEX, None), (Iteration.EDGE, GpuReduction.BLOCK_ADD)],
+    )
+] + [
+    StyleSpec(
+        algorithm=Algorithm.PR, model=Model.OPENMP, omp_schedule=sched,
+        cpu_reduction=red,
+    )
+    for sched, red in itertools.product(
+        OmpSchedule, [None, CpuReduction.CRITICAL]
+    )
+] + [
+    StyleSpec(
+        algorithm=Algorithm.PR, model=Model.CPP_THREADS, cpp_schedule=sched,
+        cpu_reduction=CpuReduction.CLAUSE,
+    )
+    for sched in CppSchedule
+]
+
+#: Item counts whose unit counts (one unit per item, per 32-item warp, or
+#: per min(slots, items) resident unit) straddle numpy's pairwise-sum
+#: edges: below 8 (sequential), 127-129 (the 128-element block) and past
+#: 256 (recursive halving).
+BOUNDARY_ITEMS = (
+    list(range(1, 10)) + [127, 128, 129, 257, 300]
+    + [32 * 127, 32 * 128, 32 * 128 + 1, 32 * 257 + 5]
+)
+
+
+@st.composite
+def ragged_traces(draw):
+    """Traces mixing uniform and arrayful launches with zero-trip items,
+    repeated item counts (equal-length groups of several launches) and
+    item counts at the summation boundaries."""
+    sizes = draw(st.lists(
+        st.sampled_from(BOUNDARY_ITEMS), min_size=1, max_size=3
+    ))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.RandomState(seed)
+    trace = ExecutionTrace(  # L2/L3-resident or not
+        n_vertices=int(rng.choice([64, 10**6])),
+        n_edges=int(rng.choice([256, 10**7])),
+    )
+    for _ in range(draw(st.integers(1, 6))):
+        n = int(rng.choice(sizes))
+        arrayful = draw(st.booleans())
+        inner = None
+        if arrayful:
+            inner = rng.randint(0, int(rng.choice([2, 9, 300])), size=n)
+            inner[rng.rand(n) < 0.3] = 0  # zero-trip items
+        trace.add(IterationProfile(
+            n_items=n,
+            inner=inner,
+            base_cycles=float(rng.choice([1.0, 2.5])),
+            inner_cycles=float(rng.rand() * 4),
+            struct_loads_base=float(rng.randint(0, 3)),
+            struct_loads_inner=float(rng.randint(0, 3)),
+            shared_loads_inner=float(rng.rand()),
+            shared_stores_base=float(rng.rand()),
+            atomics_inner=float(rng.choice([0.0, 0.5, 1.0])),
+            atomic_minmax=bool(rng.rand() < 0.5),
+            atomics_same_address_per_item=bool(rng.rand() < 0.5),
+            conflict_extra=float(rng.randint(0, 50)),
+            max_conflict=int(rng.randint(0, 5)),
+            reduction_items=float(rng.choice([0.0, n])),
+            barriers_per_item=float(rng.choice([0.0, 1.0])),
+        ))
+    return trace
+
+
+def assert_matrix_matches_oracle(trace, styles, devices):
+    matrix = time_matrix(trace, styles, devices)
+    for i, spec in enumerate(styles):
+        for j, device in enumerate(devices):
+            if spec.model.is_gpu != hasattr(device, "sm_count"):
+                assert np.isnan(matrix[i, j])
+            else:
+                assert matrix[i, j] == scalar_cell(trace, spec, device), (
+                    spec.label(), device.name
+                )
+
+
+class TestRaggedPassBoundaries:
+    """Every time_matrix cell of a ragged trace == the scalar oracle, with
+    unit segments of every length class numpy sums differently."""
+
+    @given(ragged_traces())
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matrix_cells_equal_oracle(self, trace):
+        assert_matrix_matches_oracle(trace, BOUNDARY_STYLES, BOUNDARY_DEVICES)
+
+    @given(ragged_traces(), st.sampled_from(BOUNDARY_STYLES))
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_one_style_batch_equals_oracle(self, trace, spec):
+        """A lone style column takes the single-column step_totals path."""
+        assert_matrix_matches_oracle(trace, [spec], BOUNDARY_DEVICES)
+
+    @pytest.mark.parametrize("n_items", [1, 8, 128, 129, 257, 5000])
+    def test_groups_of_equal_length_launches(self, n_items):
+        """Launches with one unit count sit side by side in the ragged
+        pass; each must still sum exactly like its own scalar walk."""
+        rng = np.random.RandomState(n_items)
+        trace = ExecutionTrace(n_vertices=10**6, n_edges=10**7)
+        for _ in range(4):
+            trace.add(IterationProfile(
+                n_items=n_items,
+                inner=rng.randint(0, 40, size=n_items),
+                inner_cycles=1.7, struct_loads_inner=1.0,
+                atomics_inner=0.5, atomics_same_address_per_item=True,
+            ))
+        assert_matrix_matches_oracle(trace, BOUNDARY_STYLES, BOUNDARY_DEVICES)
+
+
+    def test_chunked_pass(self):
+        """A trace too large for one chunk is timed chunk by chunk: each
+        chunk is at most CHUNK_UNITS units or a single larger launch."""
+        rng = np.random.RandomState(5)
+        trace = ExecutionTrace(n_vertices=10**6, n_edges=10**7)
+        for n_items in [1000 + k for k in range(30)] + [40_000, 50_000]:
+            trace.add(IterationProfile(
+                n_items=n_items,
+                inner=rng.randint(0, 60, size=n_items),
+                inner_cycles=1.3, struct_loads_inner=1.0, atomics_inner=0.5,
+            ))
+        pm = trace.profile_matrix()
+        cut = gpu_unit_cut(pm.ragged, Granularity.WARP, 32, None)
+        assert len(cut.chunks) == 4
+        for first, stop in cut.chunks:
+            assert (
+                cut.n_units[first:stop].sum() <= CHUNK_UNITS
+                or stop == first + 1
+            )
+        styles = [s for s in BOUNDARY_STYLES if s.atomic_flavor is not
+                  AtomicFlavor.CUDA_ATOMIC]
+        assert_matrix_matches_oracle(trace, styles, [RTX_3090, SMALL_CPU])
+
+
+class TestLaunchCountIndependence:
+    """The unit geometry is built once per cut for the whole trace, never
+    once per launch."""
+
+    @staticmethod
+    def _trace(n_launches, sizes=(300, 1, 5, 77, 129, 33, 256, 2, 64, 150)):
+        rng = np.random.RandomState(n_launches)
+        trace = ExecutionTrace(n_vertices=4096, n_edges=65536)
+        for k in range(n_launches):
+            n = sizes[k % len(sizes)]
+            trace.add(IterationProfile(
+                n_items=n,
+                inner=rng.randint(0, 30, size=n),
+                inner_cycles=1.0, struct_loads_inner=1.0, atomics_inner=1.0,
+            ))
+        return trace
+
+    @staticmethod
+    def _count_builds(monkeypatch, trace, devices):
+        """Geometry memo misses and cut builds of one time_matrix pass."""
+        counts = {"geometry": 0, "gpu_cut": 0, "cpu_cut": 0}
+        real_geometry = ProfileMatrix.geometry
+
+        def geometry(pm, key, builder):
+            def counted():
+                counts["geometry"] += 1
+                return builder()
+            return real_geometry(pm, key, counted)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(ProfileMatrix, "geometry", geometry)
+            m.setattr(gpu_module, "gpu_unit_cut",
+                      counting("gpu_cut", gpu_module.gpu_unit_cut))
+            m.setattr(cpu_module, "cpu_unit_cut",
+                      counting("cpu_cut", cpu_module.cpu_unit_cut))
+            time_matrix(trace, BOUNDARY_STYLES, devices)
+        return counts
+
+    def test_same_builds_for_10_and_1000_launches(self, monkeypatch):
+        few = self._count_builds(
+            monkeypatch, self._trace(10), BOUNDARY_DEVICES
         )
+        many = self._count_builds(
+            monkeypatch, self._trace(1000), BOUNDARY_DEVICES
+        )
+        assert few == many
+        assert few["gpu_cut"] > 0 and few["cpu_cut"] > 0
 
-    def test_groups_only_equal_shapes(self):
-        rng = np.random.RandomState(3)
-        units = [
-            self._decomp(rng, 10),
-            self._decomp(rng, 20),
-            self._decomp(rng, 10),
-            self._decomp(rng, 10, with_base=False),
+    def test_devices_share_cuts_they_cannot_tell_apart(self, monkeypatch):
+        """Launches below both GPUs' resident grids and both CPUs' thread
+        counts cut identically on either device, so timing the second
+        device builds no new cut; a device with a smaller resident grid
+        (or fewer threads) than the launches does."""
+        trace = self._trace(10, sizes=(16, 3, 9, 1))
+        counts = [
+            self._count_builds(monkeypatch, trace, [device])
+            for device in (
+                RTX_3090, TITAN_V, SMALL_GPU,
+                THREADRIPPER_2950X, XEON_GOLD_6226R, SMALL_CPU,
+            )
         ]
-        stacked = stack_decompositions(units, np.arange(len(units)))
-        sizes = sorted(len(s.positions) for s in stacked)
-        assert sizes == [1, 1, 2]
-        covered = sorted(p for s in stacked for p in s.positions)
-        assert covered == [0, 1, 2, 3]
-
-    def test_times_batch_matches_scalar_rows(self):
-        rng = np.random.RandomState(11)
-        units = [self._decomp(rng, 33) for _ in range(5)]
-        stacked = stack_decompositions(units, np.arange(5))
-        (su,) = stacked
-        alphas = rng.rand(4, 5)
-        betas_par = rng.rand(4, 5)
-        betas_ser = rng.rand(4, 5)
-        totals, longests = su.times_batch(alphas, betas_par, betas_ser)
-        for k in range(4):
-            for col, pos in enumerate(su.positions):
-                total, longest = unit_times(
-                    units[pos],
-                    alphas[k, col], betas_par[k, col], betas_ser[k, col],
-                )
-                assert totals[k, col] == total
-                assert longests[k, col] == longest
-
-    def test_none_betas_ser_matches_zero_coefficient(self):
-        rng = np.random.RandomState(13)
-        units = [self._decomp(rng, 17) for _ in range(3)]
-        (su,) = stack_decompositions(units, np.arange(3))
-        alphas = rng.rand(2, 3)
-        betas_par = rng.rand(2, 3)
-        with_none = su.times_batch(alphas, betas_par, None)
-        for k in range(2):
-            for col, pos in enumerate(su.positions):
-                total, longest = unit_times(
-                    units[pos], alphas[k, col], betas_par[k, col], 0.0
-                )
-                assert with_none[0][k, col] == total
-                assert with_none[1][k, col] == longest
+        rtx, titan, small_gpu, threadripper, xeon, small_cpu = counts
+        assert rtx["gpu_cut"] == len(Granularity) * len(Persistence)
+        assert titan["gpu_cut"] == 0
+        assert small_gpu["gpu_cut"] > 0
+        assert threadripper["cpu_cut"] == len(CppSchedule)
+        assert xeon["cpu_cut"] == 0
+        assert small_cpu["cpu_cut"] > 0

@@ -1,19 +1,31 @@
-"""Unit tests for the work-to-unit decompositions (hand-computed cases).
+"""Unit tests for the work-to-unit decompositions.
 
-Unit times and the list-scheduling bound are evaluated with the frozen
-scalar oracle's ``unit_times`` and ``makespan``.
+The hand-computed cases pin the frozen per-launch decompositions of the
+scalar oracle (``gpu_units``, ``cpu_blocked_units``, ``cpu_cyclic_units``,
+with ``unit_times`` and ``makespan``); :class:`TestPerTraceGeometry`
+checks that the production per-trace ragged cuts of
+:mod:`repro.machine.scheduling` reproduce them launch by launch.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.machine import (
+from repro.machine.scheduling import (
+    RaggedSteps,
+    cpu_unit_cut,
+    gpu_cut_geometry,
+    gpu_unit_cut,
+)
+from repro.styles import Granularity
+from tests.machine.scalar_oracle import (
     cpu_blocked_units,
     cpu_cyclic_units,
     gpu_units,
+    makespan,
+    unit_times,
 )
-from repro.styles import Granularity
-from tests.machine.scalar_oracle import makespan, unit_times
 
 
 class TestMakespan:
@@ -174,3 +186,89 @@ class TestCpuUnits:
     def test_empty(self):
         units = cpu_cyclic_units(None, 0, threads=4)
         assert units.n_units == 0
+
+
+# ----------------------------------------------------------------------
+# The per-trace ragged cuts against the frozen per-launch decompositions
+# ----------------------------------------------------------------------
+ragged_inners = st.lists(
+    st.lists(st.integers(0, 200), min_size=1, max_size=300).map(
+        lambda xs: np.asarray(xs, dtype=np.int32)
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def launch_units(cut, steps, launch):
+    """(n_units, base, trips_par, trips_ser) of one launch of a cut."""
+    k = int(np.flatnonzero(steps.order == launch)[0])
+    lo, hi = cut.leads[k], cut.leads[k + 1]
+    assert cut.trips_par[lo] == cut.trips_ser[lo] == 0
+    assert cut.base is None or cut.base[lo] == 0.0
+    lo += 1  # past the launch's zero slot
+    return (
+        int(cut.n_units[k]),
+        None if cut.base is None else cut.base[lo:hi],
+        cut.trips_par[lo:hi],
+        cut.trips_ser[lo:hi],
+    )
+
+
+def assert_same_units(got, frozen):
+    n_units, base, trips_par, trips_ser = got
+    assert n_units == frozen.n_units
+    if frozen.base is None:
+        assert base is None and frozen.uniform_base == 1.0
+    else:
+        assert base.dtype == np.float64
+        np.testing.assert_array_equal(base, frozen.base)
+    np.testing.assert_array_equal(trips_par, frozen.trips_par)
+    np.testing.assert_array_equal(trips_ser, frozen.trips_ser)
+
+
+class TestPerTraceGeometry:
+    @given(
+        ragged_inners,
+        st.sampled_from(list(Granularity)),
+        st.booleans(),
+        st.sampled_from([32, 64, 256]),
+        st.sampled_from([1, 4, 64, 96, 2048]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_gpu_cut_equals_frozen_units(
+        self, inners, gran, persistent, block_size, resident_threads
+    ):
+        steps = RaggedSteps(np.arange(len(inners)), inners)
+        lanes, slot_cap = gpu_cut_geometry(
+            gran, persistent,
+            block_size=block_size, resident_threads=resident_threads,
+            max_items=max(a.size for a in inners),
+        )
+        cut = gpu_unit_cut(steps, gran, lanes, slot_cap)
+        for launch, inner in enumerate(inners):
+            frozen = gpu_units(
+                inner, inner.size, gran, persistent,
+                block_size=block_size, resident_threads=resident_threads,
+            )
+            assert_same_units(launch_units(cut, steps, launch), frozen)
+
+    @given(ragged_inners, st.booleans(), st.sampled_from([1, 3, 16, 1000]))
+    @settings(max_examples=60, deadline=None)
+    def test_cpu_cut_equals_frozen_units(self, inners, cyclic, threads):
+        steps = RaggedSteps(np.arange(len(inners)), inners)
+        slot_cap = min(threads, max(a.size for a in inners))
+        cut = cpu_unit_cut(steps, cyclic, slot_cap)
+        builder = cpu_cyclic_units if cyclic else cpu_blocked_units
+        for launch, inner in enumerate(inners):
+            frozen = builder(inner, inner.size, threads)
+            assert_same_units(launch_units(cut, steps, launch), frozen)
+
+    def test_launches_sorted_by_size_behind_zero_slots(self):
+        inners = [np.full(n, 3, dtype=np.int32) for n in (5, 2, 5, 9, 2)]
+        steps = RaggedSteps(np.arange(5), inners)
+        assert steps.order.tolist() == [1, 4, 0, 2, 3]
+        cut = gpu_unit_cut(steps, Granularity.WARP, 32, None)
+        assert cut.n_units.tolist() == [2, 2, 5, 5, 9]
+        assert cut.leads.tolist() == [0, 3, 6, 12, 18, 28]
+        assert cut.chunks == [(0, 5)]

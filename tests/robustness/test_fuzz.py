@@ -8,7 +8,6 @@ import pytest
 from repro.cli.main import main
 from repro.robustness.fuzz import (
     SHAPES,
-    FuzzReport,
     PlantedBugLauncher,
     build_case,
     load_manifest,

@@ -14,17 +14,15 @@ import time
 import numpy as np
 
 from repro.bench.harness import SweepConfig, run_sweep
-from repro.bench.ratios import axis_ratios, ratios_by_algorithm, throughputs_by_option
+from repro.bench.ratios import ratios_by_algorithm, throughputs_by_option
 from repro.styles import (
     Algorithm,
     AtomicFlavor,
     CppSchedule,
-    CpuReduction,
     Determinism,
     Driver,
     Dup,
     Flow,
-    GpuReduction,
     Granularity,
     Iteration,
     Model,
@@ -64,7 +62,6 @@ def main():
         by = ratios_by_algorithm(res, "atomic_flavor", AtomicFlavor.ATOMIC, AtomicFlavor.CUDA_ATOMIC, devices=[dev])
         print(f"  {dev}:", {a.value: round(med(v), 1) for a, v in by.items()})
 
-    noca = dict(models=[Model.CUDA])  # helper; CudaAtomic excluded below where paper does
     print("\n== Fig 2: vertex/edge (GPU ~1 except MIS>>1, TC<1; CPU >1)")
     for label, models in [("CUDA", [Model.CUDA]), ("OMP+CPP", [Model.OPENMP, Model.CPP_THREADS])]:
         by = ratios_by_algorithm(res, "iteration", Iteration.VERTEX, Iteration.EDGE, models=models)

@@ -12,7 +12,9 @@ three times against a fresh store:
    to the cold run, and the wall-clock speedup must clear a floor;
 3. **new device** — the same sweep with a second GPU added; mapping
    variants of the new device re-time from the stored traces, so this
-   too must execute zero kernels.
+   too must execute zero kernels, and its wall time over the cold
+   sweep's (``new_device_ratio``) must stay at or below
+   ``MAX_NEW_DEVICE_RATIO`` — a ratio, so it holds on noisy runners.
 
 **Vectorized matrix timing** (``BENCH_matrix.json``).  The warm
 sweep-block workload (PR x soc-LiveJournal1 at tiny scale, all models
@@ -59,6 +61,10 @@ DEFAULT_ADVISOR_JSON = REPO_ROOT / "BENCH_advisor.json"
 #: Warm must beat cold by at least this factor (the store's entire point
 #: is skipping kernel execution, the sweep's dominant cost).
 DEFAULT_MIN_SPEEDUP = 3.0
+
+#: A sweep that only adds a device re-times stored traces; it must take
+#: at most this fraction of the cold sweep's wall time.
+MAX_NEW_DEVICE_RATIO = 0.25
 
 #: The vectorized matrix path must beat the per-spec scalar loop by at
 #: least this factor on the warm sweep-block workload.
@@ -444,8 +450,10 @@ def main(argv=None) -> int:
         gpu_names=("RTX 3090", "Titan V"),
     )
     new_device, new_device_seconds = sweep(extended)
+    new_device_ratio = new_device_seconds / cold_seconds
     print(f"  {new_device_seconds:.2f}s, {new_device.kernel_executions} "
-          f"kernel executions, {len(new_device.runs)} runs", flush=True)
+          f"kernel executions, {len(new_device.runs)} runs, "
+          f"{new_device_ratio:.3f}x the cold sweep", flush=True)
 
     store = TraceStore(trace_dir)
     stats = store.stats()
@@ -468,6 +476,11 @@ def main(argv=None) -> int:
     devices = {run.device for run in new_device.runs}
     if devices != {"RTX 3090", "Titan V"}:
         failures.append(f"new-device sweep covered {sorted(devices)}")
+    if new_device_ratio > MAX_NEW_DEVICE_RATIO:
+        failures.append(
+            f"new-device sweep took {new_device_ratio:.3f}x the cold sweep "
+            f"(ceiling {MAX_NEW_DEVICE_RATIO:g}x)"
+        )
     if speedup < args.min_speedup:
         failures.append(
             f"warm speedup {speedup:.2f}x is below the "
@@ -487,6 +500,7 @@ def main(argv=None) -> int:
         "warm_speedup": round(speedup, 3),
         "new_device_seconds": round(new_device_seconds, 3),
         "new_device_kernel_executions": new_device.kernel_executions,
+        "new_device_ratio": round(new_device_ratio, 3),
         "bit_identical": warm.runs == cold.runs,
         "store_entries": stats.entries,
         "store_bytes": stats.total_bytes,
@@ -510,6 +524,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(f"perf smoke OK: warm sweep ran 0 kernels, {speedup:.2f}x faster, "
+          f"new device {new_device_ratio:.3f}x the cold sweep, "
           f"vectorized matrix {matrix_speedup:.2f}x over per-spec, "
           "predict-then-verify gate held, bit-identical results")
     return 0
