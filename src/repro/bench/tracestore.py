@@ -21,13 +21,29 @@ kernel-code fingerprint hashes every source file the executed trace can
 depend on, so any kernel edit invalidates exactly the stale entries; the
 source vertex covers the one per-launcher seed (BFS/SSSP root).
 
-Entries are single files: a checksummed header line followed by a
-compressed numpy archive holding the output values, every per-launch
-``inner`` array, and a JSON metadata record with the exact scalar profile
-fields (Python's JSON round-trips floats losslessly).  Writes are atomic
-(``tmp`` + rename); a truncated, bit-flipped or unparseable entry is
-*quarantined* on read — moved aside with a stderr warning, never silently
-deleted, and never able to crash a sweep.
+Entries are single flat files: a ``repro-trace-v2 <sha256>`` header line,
+then one deflate stream (the checksum covers its compressed bytes)
+holding, in order,
+
+* an 8-byte little-endian length and a JSON header: the key, the
+  metadata, the trace scalars, the profile scalars as columns (one list
+  per field, plus ``has_inner``; a launch's ``inner`` length is its
+  ``n_items``), and the values dtype and shape.  Python's JSON
+  round-trips floats losslessly;
+* the ``values`` bytes, starting on a 16-byte boundary;
+* every launch's int32 ``inner`` array, concatenated, starting on the
+  next 16-byte boundary.
+
+A load checks the checksum, inflates once into a ``bytearray`` (so the
+arrays are writable), parses the header with one ``json.loads`` and
+slices every array out of the body with ``np.frombuffer`` — no per-array
+container parsing.  Writes are atomic (``tmp`` + rename); a truncated,
+bit-flipped, unparseable or inconsistent entry — including one in an
+older format — is *quarantined* on read: moved aside with a stderr
+warning, never silently deleted, and never able to crash a sweep.  Entry
+files keep the ``trace-<key>.npz`` name of the earlier numpy-archive
+format, so stores written by older versions are found, quarantined and
+reclaimed by ``repro cache gc`` rather than left orphaned.
 
 Resolution order for whether a launcher uses the store:
 
@@ -42,10 +58,12 @@ Resolution order for whether a launcher uses the store:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
+import struct
 import sys
+import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -71,13 +89,22 @@ __all__ = [
 #: Trace-store directory override / kill switch (``0``/empty disables).
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
-_MAGIC = b"repro-trace-v1"
+_MAGIC = b"repro-trace-v2"
 
-#: IterationProfile fields serialized as JSON scalars (everything but the
-#: numpy ``inner`` array).
+#: IterationProfile fields serialized as JSON columns (everything but the
+#: numpy ``inner`` array).  Loads pass them positionally, around ``inner``.
 _PROFILE_SCALARS = tuple(
     f.name for f in fields(IterationProfile) if f.name != "inner"
 )
+assert [f.name for f in fields(IterationProfile)][:2] == ["n_items", "inner"]
+
+#: Length prefix of the JSON header inside the inflated body.
+_HEADER_LENGTH = struct.Struct("<Q")
+#: Arrays start on this boundary inside the inflated body.
+_ALIGN = 16
+_INNER_DTYPE = np.dtype("<i4")
+#: numpy's ``savez_compressed`` level, which earlier entries used.
+_DEFLATE_LEVEL = zlib.Z_DEFAULT_COMPRESSION
 
 _TRACE_SCALARS = ("n_edges", "n_vertices", "iterations", "converged", "label")
 
@@ -130,14 +157,14 @@ def trace_digest(trace: ExecutionTrace) -> str:
     return digest.hexdigest()
 
 
+def _scalar(value):
+    if isinstance(value, (np.integer, np.floating, np.bool_)):
+        return value.item()
+    return value
+
+
 def _scalars_of(obj, names: Tuple[str, ...]) -> Dict[str, object]:
-    out = {}
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, (np.integer, np.floating, np.bool_)):
-            value = value.item()
-        out[name] = value
-    return out
+    return {name: _scalar(getattr(obj, name)) for name in names}
 
 
 #: Per-process memo of graph-property payloads, keyed by graph content
@@ -221,7 +248,7 @@ class TraceStoreStats:
 
 
 class TraceStore:
-    """Directory of checksummed, compressed, content-addressed traces."""
+    """Directory of checksummed, deflated, content-addressed traces."""
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
@@ -280,41 +307,46 @@ class TraceStore:
     ) -> Path:
         """Atomically persist one semantic execution (idempotent)."""
         trace = result.trace
-        meta = {
-            "magic": _MAGIC.decode(),
+        values = np.asarray(result.values, order="C")
+        inners = [
+            np.ascontiguousarray(profile.inner, dtype=_INNER_DTYPE)
+            for profile in trace.profiles
+            if profile.inner is not None
+        ]
+        columns = {
+            name: [_scalar(getattr(p, name)) for p in trace.profiles]
+            for name in _PROFILE_SCALARS
+        }
+        columns["has_inner"] = [p.inner is not None for p in trace.profiles]
+        header = {
             "key": self.key_payload(graph.fingerprint(), semantic, source),
             "graph_name": graph.name,
             "algorithm": semantic.algorithm.value,
             # Graph properties ride along (additively — not part of the
             # key) so the training-set miner can turn a stored trace into
-            # feature rows without rebuilding the graph.  Entries from
-            # before this field are still valid traces; the miner skips
-            # them.
+            # feature rows without rebuilding the graph.
             "graph_properties": _graph_properties_payload(graph),
             "verified": bool(verified),
             "trace": _scalars_of(trace, _TRACE_SCALARS),
-            "profiles": [
-                dict(
-                    _scalars_of(profile, _PROFILE_SCALARS),
-                    has_inner=profile.inner is not None,
-                )
-                for profile in trace.profiles
-            ],
-            "values_dtype": result.values.dtype.str,
+            "profiles": columns,
+            "values_dtype": values.dtype.str,
+            "values_shape": list(values.shape),
         }
-        arrays = {
-            "meta": np.frombuffer(
-                json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
-            ),
-            "values": result.values,
-        }
-        for i, profile in enumerate(trace.profiles):
-            if profile.inner is not None:
-                arrays[f"inner_{i}"] = profile.inner
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        body = buffer.getvalue()
-        checksum = hashlib.sha256(body).hexdigest().encode("ascii")
+        text = json.dumps(header, sort_keys=True).encode("ascii")
+        # Space-pad the JSON (still valid JSON) so the values start aligned.
+        text += b" " * (-(_HEADER_LENGTH.size + len(text)) % _ALIGN)
+        deflate = zlib.compressobj(_DEFLATE_LEVEL)
+        chunks = [
+            deflate.compress(_HEADER_LENGTH.pack(len(text))),
+            deflate.compress(text),
+            deflate.compress(values),
+            deflate.compress(bytes(-values.nbytes % _ALIGN)),
+        ]
+        chunks.extend(deflate.compress(inner) for inner in inners)
+        chunks.append(deflate.flush())
+        checksum = hashlib.sha256()
+        for chunk in chunks:
+            checksum.update(chunk)
         path = self.entry_path(graph, semantic, source)
         self.directory.mkdir(parents=True, exist_ok=True)
         # The advisory store lock orders this write against a concurrent
@@ -323,7 +355,10 @@ class TraceStore:
         # comes from the tmp + rename, not the lock.
         with store_lock(self.directory):
             tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-            tmp.write_bytes(_MAGIC + b" " + checksum + b"\n" + body)
+            with open(tmp, "wb") as handle:
+                handle.write(_MAGIC + b" ")
+                handle.write(checksum.hexdigest().encode("ascii") + b"\n")
+                handle.writelines(chunks)
             os.replace(tmp, path)
         self.stores += 1
         return path
@@ -338,7 +373,7 @@ class TraceStore:
     ) -> Optional[KernelResult]:
         """Reassemble one stored execution, or ``None`` on any miss.
 
-        A corrupt entry (bad checksum, truncated archive, wrong key) is
+        A corrupt entry (bad checksum, truncated body, wrong key) is
         quarantined and reads as a miss; an entry stored without
         verification is a miss for a verifying launcher.
         """
@@ -349,11 +384,11 @@ class TraceStore:
             self.misses += 1
             return None
         try:
-            meta, archive = self._decode(blob)
+            meta, body, offset = self._decode(blob)
             expected = self.key_payload(graph.fingerprint(), semantic, source)
             if meta["key"] != expected:
                 raise ValueError("entry key does not match its address")
-            result = self._reassemble(meta, archive)
+            result = self._reassemble(meta, body, offset)
         except Exception as exc:
             self._quarantine(path, exc)
             self.misses += 1
@@ -366,31 +401,55 @@ class TraceStore:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _decode(blob: bytes) -> Tuple[dict, dict]:
-        header, sep, body = blob.partition(b"\n")
+    def _decode(blob: bytes) -> Tuple[dict, bytearray, int]:
+        """Check and inflate one entry: ``(header, body, offset)``, where
+        the body's arrays start at ``offset``."""
+        header, sep, deflated = blob.partition(b"\n")
         if not sep or not header.startswith(_MAGIC + b" "):
             raise ValueError("missing trace-store header")
         checksum = header.split(b" ", 1)[1]
-        if hashlib.sha256(body).hexdigest().encode("ascii") != checksum:
+        if hashlib.sha256(deflated).hexdigest().encode("ascii") != checksum:
             raise ValueError("checksum mismatch (truncated or corrupt entry)")
-        with np.load(io.BytesIO(body), allow_pickle=False) as npz:
-            archive = {name: npz[name] for name in npz.files}
-        meta = json.loads(archive.pop("meta").tobytes().decode())
-        if meta.get("magic") != _MAGIC.decode():
-            raise ValueError("not a trace-store entry")
-        return meta, archive
+        body = bytearray(zlib.decompress(deflated))
+        (length,) = _HEADER_LENGTH.unpack_from(body)
+        offset = _HEADER_LENGTH.size + length
+        if offset > len(body):
+            raise ValueError("entry header runs past the body")
+        meta = json.loads(body[_HEADER_LENGTH.size:offset])
+        return meta, body, offset
 
     @staticmethod
-    def _reassemble(meta: dict, archive: dict) -> KernelResult:
-        trace = ExecutionTrace(**meta["trace"])
-        for i, scalars in enumerate(meta["profiles"]):
-            scalars = dict(scalars)
-            has_inner = scalars.pop("has_inner")
-            inner = archive[f"inner_{i}"] if has_inner else None
-            trace.add(IterationProfile(inner=inner, **scalars))
-        values = archive["values"]
-        if values.dtype.str != meta["values_dtype"]:
-            raise ValueError("values dtype mismatch")
+    def _reassemble(meta: dict, body: bytearray, offset: int) -> KernelResult:
+        dtype = np.dtype(meta["values_dtype"])
+        shape = tuple(meta["values_shape"])
+        columns = meta["profiles"]
+        has_inner = columns["has_inner"]
+        if any(len(columns[name]) != len(has_inner)
+               for name in _PROFILE_SCALARS):
+            raise ValueError("profile columns differ in length")
+        count = math.prod(shape)
+        lengths = [n for n, has in zip(columns["n_items"], has_inner) if has]
+        if min(shape, default=0) < 0 or min(lengths, default=0) < 0:
+            raise ValueError("negative array length in entry header")
+        inner_start = offset + count * dtype.itemsize
+        inner_start += -inner_start % _ALIGN
+        inner_total = sum(lengths)
+        if inner_start + inner_total * _INNER_DTYPE.itemsize != len(body):
+            raise ValueError("entry body size does not match its header")
+        values = np.frombuffer(body, dtype, count, offset).reshape(shape)
+        inner = np.frombuffer(body, _INNER_DTYPE, inner_total, inner_start)
+        profiles = []
+        position = 0
+        rows = zip(*(columns[name] for name in _PROFILE_SCALARS))
+        for (n_items, *rest), has in zip(rows, has_inner):
+            if has:
+                end = position + n_items
+                launch_inner = inner[position:end]
+                position = end
+            else:
+                launch_inner = None
+            profiles.append(IterationProfile(n_items, launch_inner, *rest))
+        trace = ExecutionTrace(profiles=profiles, **meta["trace"])
         return KernelResult(values=values, trace=trace)
 
     def _quarantine(self, path: Path, reason: Exception) -> None:
@@ -426,8 +485,8 @@ class TraceStore:
         """
         for path in self._entries():
             try:
-                meta, archive = self._decode(path.read_bytes())
-                result = self._reassemble(meta, archive)
+                meta, body, offset = self._decode(path.read_bytes())
+                result = self._reassemble(meta, body, offset)
             except Exception:
                 continue
             yield meta, result
@@ -443,7 +502,7 @@ class TraceStore:
             stats.entries += 1
             stats.total_bytes += path.stat().st_size
             try:
-                meta, _ = self._decode(path.read_bytes())
+                meta, _, _ = self._decode(path.read_bytes())
             except Exception:
                 continue  # verify/gc deal with corrupt entries
             algorithm = meta.get("algorithm", "?")
@@ -476,7 +535,7 @@ class TraceStore:
             drop = everything
             if not drop:
                 try:
-                    meta, _ = self._decode(path.read_bytes())
+                    meta, _, _ = self._decode(path.read_bytes())
                     drop = meta["key"].get("kernel_code") != current
                 except Exception:
                     drop = True  # unreadable: gc reclaims it
@@ -509,8 +568,8 @@ class TraceStore:
         bad: List[Tuple[Path, str]] = []
         for path in self._entries():
             try:
-                meta, archive = self._decode(path.read_bytes())
-                result = self._reassemble(meta, archive)
+                meta, body, offset = self._decode(path.read_bytes())
+                result = self._reassemble(meta, body, offset)
                 trace_digest(result.trace)  # full content walk
             except Exception as exc:
                 reason = f"{type(exc).__name__}: {exc}"

@@ -61,6 +61,25 @@ class StyleSpec:
     cpp_schedule: Optional[CppSchedule] = None
 
     # ------------------------------------------------------------------
+    def __hash__(self) -> int:
+        # Specs key the result indices and the timing models' style
+        # groups, and each enum field hashes through the Python-level
+        # ``Enum.__hash__``: compute the field-tuple hash (the one the
+        # dataclass would generate) once and cache it on the instance.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Enum hashes follow the per-process string-hash seed, so the
+        # cached hash must never travel in a pickle.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def validate(self) -> "StyleSpec":
         """Raise ``ValueError`` if this combination is not in the suite."""
         from .applicability import check_spec  # late import avoids a cycle

@@ -1,6 +1,14 @@
 """Tests for results persistence and the style advisor."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.bench import (
     advise,
@@ -8,7 +16,40 @@ from repro.bench import (
     save_results,
 )
 from repro.graph import grid2d, load_dataset, power_law
-from repro.styles import Model
+from repro.styles import Algorithm, Model
+
+
+#: Reloads a saved StudyResults and looks every run up through freshly
+#: built specs; prints a JSON report.
+_RELOAD_SCRIPT = """
+import json, sys
+from dataclasses import fields
+from repro.bench import load_results
+from repro.styles import Algorithm, StyleSpec
+
+results = load_results(sys.argv[1], rebuild_graphs=False)
+def rebuilt(spec):
+    return StyleSpec(**{f.name: getattr(spec, f.name)
+                        for f in fields(StyleSpec)})
+
+equal = same_hash = matched = 0
+for run in results.runs:
+    fresh = rebuilt(run.spec)
+    equal += fresh == run.spec
+    same_hash += hash(fresh) == hash(run.spec)
+    matched += results.get(fresh, run.device, run.graph) is run
+print(json.dumps({
+    "runs": len(results.runs),
+    "equal": equal,
+    "same_hash": same_hash,
+    "matched": matched,
+    "seed_hash": hash(rebuilt(results.runs[0].spec)),
+    "per_algorithm": {
+        a.value: sum(1 for _ in results.select(algorithms=[a]))
+        for a in Algorithm
+    },
+}))
+"""
 
 
 class TestStorage:
@@ -32,6 +73,30 @@ class TestStorage:
         path = save_results(tiny_sweep, tmp_path / "s.pkl", scale="tiny")
         back = load_results(path, rebuild_graphs=False)
         assert back.graphs == {}
+
+    def test_specs_rehash_under_another_hash_seed(self, tiny_sweep, tmp_path):
+        # StyleSpec caches its hash, and enum hashes follow the per-process
+        # string-hash seed: a cached hash that travelled in the pickle
+        # would make the reloaded index miss every freshly built spec.
+        spec = tiny_sweep.runs[0].spec
+        assert "_hash" in vars(spec)  # cached by StudyResults.add
+        path = save_results(tiny_sweep, tmp_path / "s.pkl", scale="tiny")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", _RELOAD_SCRIPT, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        report = json.loads(out)
+        assert report["seed_hash"] != hash(spec)  # the seed really differs
+        runs = len(tiny_sweep.runs)
+        assert report["runs"] == report["equal"] == runs
+        assert report["same_hash"] == report["matched"] == runs
+        assert report["per_algorithm"] == {
+            algorithm.value: sum(1 for _ in tiny_sweep.select(
+                algorithms=[algorithm]))
+            for algorithm in Algorithm
+        }
 
     def test_rejects_foreign_pickles(self, tmp_path):
         import pickle

@@ -11,8 +11,19 @@ The store's contract has two halves the tests pin down separately:
   *miss*, never a wrong answer and never a crash.
 """
 
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import struct
+import tempfile
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro.bench.tracestore as tracestore
 from repro.bench import SweepConfig, run_sweep, run_sweep_parallel
@@ -26,7 +37,9 @@ from repro.bench.tracestore import (
 )
 from repro.cli.main import main
 from repro.graph import load_dataset
+from repro.kernels.base import KernelResult
 from repro.machine.devices import RTX_3090
+from repro.machine.trace import ExecutionTrace, IterationProfile
 from repro.runtime import Launcher
 from repro.styles import Algorithm, Model, enumerate_specs
 
@@ -45,6 +58,35 @@ def warm_store(tmp_path, graph, **launcher_kwargs):
     run = launcher.run(SPEC, graph, RTX_3090)
     result = launcher.execute_semantic(SPEC, graph)
     return store, run, result
+
+
+def sealed(deflated: bytes) -> bytes:
+    """A v2 entry file around ``deflated``, with a matching checksum."""
+    checksum = hashlib.sha256(deflated).hexdigest().encode("ascii")
+    return b"repro-trace-v2 " + checksum + b"\n" + deflated
+
+
+def encode_body(meta: dict, arrays: bytes) -> bytearray:
+    """An inflated v2 body: length-prefixed JSON header, space-padded so
+    ``arrays`` (values, gap, inner) start on a 16-byte boundary."""
+    text = json.dumps(meta, sort_keys=True).encode("ascii")
+    text += b" " * (-(8 + len(text)) % 16)
+    return bytearray(struct.pack("<Q", len(text)) + text + arrays)
+
+
+def rewrite_body(path, mutate, *, reseal=True):
+    """Inflate a stored entry, apply ``mutate(body, offset)`` (``offset``:
+    where the arrays start) and deflate it back.  ``reseal`` recomputes
+    the checksum so the damage reaches the decoder; otherwise the stored
+    checksum is kept and must catch it."""
+    header, _, deflated = path.read_bytes().partition(b"\n")
+    body = bytearray(zlib.decompress(deflated))
+    (length,) = struct.unpack_from("<Q", body)
+    deflated = zlib.compress(bytes(mutate(body, 8 + length)))
+    if reseal:
+        path.write_bytes(sealed(deflated))
+    else:
+        path.write_bytes(header + b"\n" + deflated)
 
 
 class TestResolve:
@@ -115,6 +157,222 @@ class TestRoundTrip:
         ok, bad = store.verify_entries()
         assert (ok, bad) == (1, [])
         assert len(store) == 1
+
+
+#: Every ``values`` dtype the kernels emit (BFS/SSSP/CC/TC int64, MIS
+#: int8, PR float64), plus narrower and unsigned ones.
+VALUE_DTYPES = ("<i8", "|i1", "<f8", "<i4", "<f4", "|u1", "|b1")
+
+INT32 = st.integers(-(2**31), 2**31 - 1)
+COUNTS = st.floats() | st.integers(0, 2**53)
+
+
+@st.composite
+def profiles(draw):
+    n_items = draw(st.integers(0, 12))
+    inner = draw(st.none() | st.lists(INT32, min_size=n_items,
+                                      max_size=n_items))
+    return IterationProfile(
+        n_items=n_items,
+        inner=None if inner is None else np.array(inner, dtype=np.int32),
+        base_cycles=draw(COUNTS),
+        inner_cycles=draw(COUNTS),
+        struct_loads_inner=draw(COUNTS),
+        shared_stores_base=draw(COUNTS),
+        atomics_inner=draw(COUNTS),
+        atomic_minmax=draw(st.booleans()),
+        atomics_same_address_per_item=draw(st.booleans()),
+        conflict_extra=draw(COUNTS),
+        max_conflict=draw(st.integers(0, 2**40)),
+        wl_pushes=draw(st.integers(-1, 2**40)),
+        reduction_items=draw(COUNTS),
+        label=draw(st.text(max_size=8)),
+    )
+
+
+@st.composite
+def kernel_results(draw):
+    trace = ExecutionTrace(
+        profiles=draw(st.lists(profiles(), max_size=6)),
+        n_edges=draw(st.integers(0, 2**40)),
+        n_vertices=draw(st.integers(0, 2**40)),
+        iterations=draw(st.integers(0, 1000)),
+        converged=draw(st.booleans()),
+        label=draw(st.text(max_size=12)),
+    )
+    dtype = np.dtype(draw(st.sampled_from(VALUE_DTYPES)))
+    raw = draw(st.binary(max_size=8 * 40))
+    values = np.frombuffer(raw[: len(raw) // dtype.itemsize * dtype.itemsize],
+                           dtype=dtype).copy()
+    return KernelResult(values=values, trace=trace)
+
+
+#: Cases every run must cover: no profiles; profiles without ``inner``;
+#: a zero-length ``inner`` on an ``n_items == 0`` step; non-ASCII labels;
+#: a 0-d values array.
+EDGE_CASES = (
+    KernelResult(values=np.zeros(0), trace=ExecutionTrace(label="empty")),
+    KernelResult(
+        values=np.array(7, np.int64),
+        trace=ExecutionTrace(
+            profiles=[IterationProfile(5), IterationProfile(0)]
+        ),
+    ),
+    KernelResult(
+        values=np.ones(3, np.int8),
+        trace=ExecutionTrace(
+            profiles=[
+                IterationProfile(0, inner=np.zeros(0, np.int32),
+                                 label="größe ✓ 步"),
+                IterationProfile(3, inner=[1, 0, 2**31 - 1]),
+                IterationProfile(0),
+            ],
+            label="σ-trace 🚀",
+        ),
+    ),
+)
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(result=case)(test)
+        return test
+    return decorate
+
+
+class TestFormat:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(result=kernel_results())
+    @with_examples(EDGE_CASES)
+    def test_round_trip_is_bit_identical(self, graph, result):
+        semantic = SPEC.semantic_key()
+        with tempfile.TemporaryDirectory() as directory:
+            store = TraceStore(directory)
+            store.save(graph, semantic, 0, result, verified=True)
+            back = store.load(graph, semantic, 0)
+            assert store.hits == 1 and not os.path.exists(
+                os.path.join(directory, "quarantine")
+            )
+        assert trace_digest(back.trace) == trace_digest(result.trace)
+        assert back.values.tobytes() == result.values.tobytes()
+        assert back.values.dtype == result.values.dtype
+        assert back.values.shape == result.values.shape
+        assert back.values.flags.writeable
+        for profile in back.trace.profiles:
+            if profile.inner is not None:
+                assert profile.inner.dtype == np.int32
+                assert profile.inner.flags.writeable
+
+    def test_entry_layout(self, tmp_path, graph):
+        store, _, cold = warm_store(tmp_path, graph)
+        (entry,) = store._entries()
+        header, _, deflated = entry.read_bytes().partition(b"\n")
+        magic, checksum = header.split(b" ")
+        assert magic == b"repro-trace-v2"
+        assert checksum == hashlib.sha256(deflated).hexdigest().encode()
+        body = zlib.decompress(deflated)
+        (length,) = struct.unpack_from("<Q", body)
+        offset = 8 + length
+        assert offset % 16 == 0
+        meta = json.loads(body[8:offset])
+        values = cold.values
+        assert body[offset:offset + values.nbytes] == values.tobytes()
+        inner = b"".join(p.inner.tobytes() for p in cold.trace.profiles
+                         if p.inner is not None)
+        assert body.endswith(inner)
+        assert len(body) - len(inner) - offset - values.nbytes < 16
+        assert meta["values_dtype"] == values.dtype.str
+        assert meta["values_shape"] == list(values.shape)
+        assert len(meta["profiles"]["has_inner"]) == len(cold.trace.profiles)
+
+
+def write_v1_entry(path, graph, semantic, source, result):
+    """A frozen copy of the numpy-archive (``repro-trace-v1``) writer."""
+    from repro.graph.properties import analyze
+
+    def scalars(obj, names):
+        values = {name: getattr(obj, name) for name in names}
+        return {name: value.item() if isinstance(value, np.generic) else value
+                for name, value in values.items()}
+
+    profile_names = [f.name for f in dataclasses.fields(IterationProfile)
+                     if f.name != "inner"]
+    trace = result.trace
+    meta = {
+        "magic": "repro-trace-v1",
+        "key": TraceStore.key_payload(graph.fingerprint(), semantic, source),
+        "graph_name": graph.name,
+        "algorithm": semantic.algorithm.value,
+        "graph_properties": analyze(graph).to_dict(),
+        "verified": True,
+        "trace": scalars(trace, ("n_edges", "n_vertices", "iterations",
+                                 "converged", "label")),
+        "profiles": [
+            dict(scalars(profile, profile_names),
+                 has_inner=profile.inner is not None)
+            for profile in trace.profiles
+        ],
+        "values_dtype": result.values.dtype.str,
+    }
+    arrays = {
+        "meta": np.frombuffer(
+            json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
+        ),
+        "values": result.values,
+    }
+    for i, profile in enumerate(trace.profiles):
+        if profile.inner is not None:
+            arrays[f"inner_{i}"] = profile.inner
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    body = buffer.getvalue()
+    checksum = hashlib.sha256(body).hexdigest().encode("ascii")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"repro-trace-v1 " + checksum + b"\n" + body)
+
+
+class TestOldEntries:
+    def test_v1_entry_is_a_quarantined_miss_then_healed(
+        self, tmp_path, graph, capsys
+    ):
+        semantic = SPEC.semantic_key()
+        launcher = Launcher()
+        source = launcher.source_for(graph)
+        cold = launcher.execute_semantic(SPEC, graph)
+        store = TraceStore(tmp_path)
+        entry = store.entry_path(graph, semantic, source)
+        write_v1_entry(entry, graph, semantic, source, cold)
+
+        launcher = Launcher(trace_store=TraceStore(tmp_path))
+        launcher.run(SPEC, graph, RTX_3090)
+        assert launcher.kernel_executions == 1
+        assert (tmp_path / "quarantine" / entry.name).read_bytes().startswith(
+            b"repro-trace-v1 "
+        )
+        assert entry.read_bytes().startswith(b"repro-trace-v2 ")  # re-stored
+
+        fresh = Launcher(trace_store=TraceStore(tmp_path))
+        result = fresh.execute_semantic(SPEC, graph)
+        assert fresh.kernel_executions == 0
+        assert trace_digest(result.trace) == trace_digest(cold.trace)
+
+        capsys.readouterr()
+        assert main(["cache", "gc", "--dir", str(tmp_path)]) == 0
+        assert not any((tmp_path / "quarantine").iterdir())
+        assert store._entries() == [entry]  # the healed entry stays
+
+    def test_gc_reclaims_unread_v1_entries(self, tmp_path, graph):
+        semantic = SPEC.semantic_key()
+        cold = Launcher().execute_semantic(SPEC, graph)
+        store = TraceStore(tmp_path)
+        write_v1_entry(store.entry_path(graph, semantic, 0), graph,
+                       semantic, 0, cold)
+        assert store.stats().entries == 1
+        removed, reclaimed = store.gc()
+        assert removed == 1 and reclaimed > 0
+        assert len(store) == 0
 
 
 class TestInvalidation:
@@ -189,6 +447,58 @@ class TestCorruption:
     def test_garbage_entry_quarantines(self, tmp_path, graph):
         self.corrupt_and_load(
             tmp_path, graph, lambda p: p.write_bytes(b"not a trace at all")
+        )
+
+    def test_json_header_bit_flip_quarantines(self, tmp_path, graph):
+        def flip_header(body, offset):
+            # The JSON is ASCII: a flipped high bit leaves invalid UTF-8.
+            body[8 + (offset - 8) // 2] ^= 0x80
+            return body
+
+        # Past the checksum (resealed), and caught by the checksum.
+        self.corrupt_and_load(
+            tmp_path / "resealed", graph,
+            lambda p: rewrite_body(p, flip_header),
+        )
+        self.corrupt_and_load(
+            tmp_path / "raw", graph,
+            lambda p: rewrite_body(p, flip_header, reseal=False),
+        )
+
+    @pytest.mark.parametrize("where", ["values", "inner"])
+    def test_array_body_bit_flip_quarantines(self, tmp_path, graph, where):
+        def flip(body, offset):
+            body[offset if where == "values" else -1] ^= 0x01
+            return body
+
+        self.corrupt_and_load(
+            tmp_path, graph, lambda p: rewrite_body(p, flip, reseal=False)
+        )
+
+    def test_truncated_deflate_stream_quarantines(self, tmp_path, graph):
+        def truncate(path):
+            deflated = path.read_bytes().partition(b"\n")[2]
+            path.write_bytes(sealed(deflated[: len(deflated) // 2]))
+
+        self.corrupt_and_load(tmp_path, graph, truncate)
+
+    @pytest.mark.parametrize("claim", ["inner", "values"])
+    def test_header_claiming_more_bytes_quarantines(
+        self, tmp_path, graph, claim
+    ):
+        def overclaim(body, offset):
+            meta = json.loads(body[8:offset])
+            columns = meta["profiles"]
+            if claim == "inner":
+                # The inner arrays end the body: one more trip overruns.
+                columns["n_items"][columns["has_inner"].index(True)] += 1
+            else:
+                # More than the alignment gap after the values can absorb.
+                meta["values_shape"][0] += 16
+            return encode_body(meta, body[offset:])
+
+        self.corrupt_and_load(
+            tmp_path, graph, lambda p: rewrite_body(p, overclaim)
         )
 
     def test_reexecution_heals_the_store(self, tmp_path, graph):

@@ -16,6 +16,10 @@ three times against a fresh store:
    sweep's (``new_device_ratio``) must stay at or below
    ``MAX_NEW_DEVICE_RATIO`` — a ratio, so it holds on noisy runners.
 
+The store's size after the three sweeps (``store_bytes``, a count) must
+stay at or below ``MAX_STORE_BYTES``, so a format change cannot grow it
+unnoticed.
+
 **Vectorized matrix timing** (``BENCH_matrix.json``).  The warm
 sweep-block workload (PR x soc-LiveJournal1 at tiny scale, all models
 and devices) timed under the per-spec scalar loop — the frozen
@@ -65,6 +69,11 @@ DEFAULT_MIN_SPEEDUP = 3.0
 #: A sweep that only adds a device re-times stored traces; it must take
 #: at most this fraction of the cold sweep's wall time.
 MAX_NEW_DEVICE_RATIO = 0.25
+
+#: Bytes of the 34-entry store this smoke leaves behind, as last recorded
+#: in the numpy-archive (``repro-trace-v1``) entry format; the store must
+#: never be larger than that.
+MAX_STORE_BYTES = 12_972_430
 
 #: The vectorized matrix path must beat the per-spec scalar loop by at
 #: least this factor on the warm sweep-block workload.
@@ -480,6 +489,11 @@ def main(argv=None) -> int:
         failures.append(
             f"new-device sweep took {new_device_ratio:.3f}x the cold sweep "
             f"(ceiling {MAX_NEW_DEVICE_RATIO:g}x)"
+        )
+    if stats.total_bytes > MAX_STORE_BYTES:
+        failures.append(
+            f"trace store holds {stats.total_bytes} bytes "
+            f"(ceiling {MAX_STORE_BYTES})"
         )
     if speedup < args.min_speedup:
         failures.append(
