@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -44,6 +45,7 @@ __all__ = [
     "PredictSettings",
     "SweepConfig",
     "StudyResults",
+    "block_grid",
     "run_sweep",
     "sweep_block_runs",
 ]
@@ -295,19 +297,41 @@ def run_sweep(
     # devices, then released — large worklist traces would otherwise
     # accumulate over the whole sweep.
     for algorithm in config.algorithms:
-        per_model_specs = {
-            model: enumerate_specs(algorithm, model) for model in config.models
-        }
+        specs, devices = block_grid(
+            config.models,
+            lambda model: enumerate_specs(algorithm, model),
+            config.devices_for,
+        )
         for graph in graphs.values():
-            for model, specs in per_model_specs.items():
-                for run in sweep_block_runs(
-                    launcher, specs, graph, config.devices_for(model),
-                    failures=results.failures,
-                ):
-                    results.add(run)
+            for run in sweep_block_runs(
+                launcher, specs, graph, devices, failures=results.failures,
+            ):
+                results.add(run)
             launcher.release(graph, algorithm)
     results.kernel_executions = launcher.kernel_executions
     return results
+
+
+def block_grid(
+    models: Iterable[Model],
+    specs_for: Callable[[Model], Sequence[StyleSpec]],
+    devices_for: Callable[[Model], Sequence[DeviceSpec]],
+) -> Tuple[List[StyleSpec], List[DeviceSpec]]:
+    """One sweep block's specs of every model, in model order, and the
+    devices they run on (each device once, in first-seen order).
+
+    Every model of one kind must list the same devices.  A model without
+    devices drops out: it has no cell to run.
+    """
+    specs: List[StyleSpec] = []
+    devices: List[DeviceSpec] = []
+    for model in models:
+        model_devices = devices_for(model)
+        if not model_devices:
+            continue
+        specs.extend(specs_for(model))
+        devices.extend(d for d in model_devices if d not in devices)
+    return specs, devices
 
 
 def sweep_block_runs(
@@ -319,9 +343,12 @@ def sweep_block_runs(
 ) -> Iterator[RunResult]:
     """Runs of one (specs, graph) block over its devices, batched.
 
-    Each device times all mapping variants of each cached semantic trace in
-    one pass; results are yielded in the study's canonical
-    ``for spec: for device`` order.
+    ``specs`` may hold every model of the block (see :func:`block_grid`);
+    each spec runs on the devices of its own kind.  All of them go
+    through one :meth:`~repro.runtime.launcher.Launcher.run_matrix` call:
+    every semantic trace is fetched once and the block's traces are timed
+    together, with one model call per device and timing pass.  Results
+    are yielded in the study's canonical ``for spec: for device`` order.
 
     With ``failures`` (a list to append to), a variant whose verification
     or execution fails is recorded there as a :class:`FailedRun` per

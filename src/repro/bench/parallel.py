@@ -75,7 +75,7 @@ from ..styles.combos import enumerate_specs
 from ..styles.spec import SemanticKey, StyleSpec
 from . import faults
 from .checkpoint import BlockOutcome, CheckpointStore
-from .harness import StudyResults, SweepConfig, sweep_block_runs
+from .harness import StudyResults, SweepConfig, block_grid, sweep_block_runs
 
 __all__ = [
     "SweepBlock",
@@ -291,14 +291,14 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
     )
     faults.apply_verify_faults(launcher, block, attempt)
     outcome = BlockOutcome()
-    for model in block.models:
-        outcome.runs.extend(
-            sweep_block_runs(
-                launcher, block.specs_for(model), graph,
-                config.devices_for(model),
-                failures=outcome.failures,
-            )
+    specs, devices = block_grid(
+        block.models, block.specs_for, config.devices_for
+    )
+    outcome.runs.extend(
+        sweep_block_runs(
+            launcher, specs, graph, devices, failures=outcome.failures
         )
+    )
     launcher.release(graph, block.algorithm)
     outcome.kernel_executions = launcher.kernel_executions
     return outcome

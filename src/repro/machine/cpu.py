@@ -23,7 +23,7 @@ Sections 2.10.2, 2.11, 2.12 and 5.3/5.5:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,10 +33,9 @@ from ..styles.axes import (
     Model,
     OmpSchedule,
 )
-from ..styles.spec import StyleSpec
 from .scheduling import cpu_uniform_geometry, cpu_unit_cut
 from .specs import CPUSpec
-from .trace import ExecutionTrace, ProfileMatrix
+from .trace import ExecutionTrace, Footprint, ProfileMatrix, as_block
 
 __all__ = ["CPUModel"]
 
@@ -49,7 +48,9 @@ class CPUModel:
         self._bw_cache: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
-    def _bandwidth_for(self, trace: ExecutionTrace) -> float:
+    def _bandwidth_for(
+        self, trace: Union[ExecutionTrace, Footprint]
+    ) -> float:
         """L3-resident working sets stream at L3, not DRAM, speed.
 
         Memoized per trace fingerprint — the (n_vertices, n_edges) pair
@@ -66,70 +67,56 @@ class CPUModel:
             self._bw_cache[key] = bw
         return bw
 
-    def time_trace_batch(
-        self, trace: ExecutionTrace, styles: Sequence[StyleSpec]
-    ) -> List[float]:
-        """Simulated wall times of many mapping variants of one trace.
+    def time_trace_batch(self, block, cells) -> List[float]:
+        """Simulated wall times of many (trace, mapping variant) cells.
 
-        Computed as one vectorized pass over the trace's
-        :class:`~repro.machine.trace.ProfileMatrix`: core (work + memory +
-        contention) cycles are evaluated once per distinct
-        (model, omp_schedule, cpp_schedule) combination as a per-step
-        vector, reduction cycles once per reduction style, and styles
-        gather their step columns by group index — a style whose mapping
-        differs only in the reduction axis reuses the exact same core
-        floats.  The per-step cycle matrix is summed over the step axis
-        in step order (:meth:`~repro.machine.trace.ProfileMatrix.step_totals`),
+        ``block`` and ``cells`` are as in
+        :meth:`repro.machine.gpu.GPUModel.time_trace_batch`.  Core (work +
+        memory + contention) cycles are evaluated once per distinct
+        (model, omp_schedule, cpp_schedule) combination as a vector over
+        every step of the block, reduction cycles once per reduction
+        style, and each cell gathers its trace's slice of both — a style
+        whose mapping differs only in the reduction axis reuses the exact
+        same core floats.  Each trace's cells are summed over its steps in
+        step order (:meth:`~repro.machine.trace.ProfileMatrix.cell_totals`),
         so every result is bit-identical to the frozen scalar walk in
-        ``tests/machine/scalar_oracle.py``, whatever the batch size.
+        ``tests/machine/scalar_oracle.py``, whatever the block or batch.
         """
-        styles = list(styles)
-        if not styles:
+        pm, cells = as_block(block, cells)
+        if not cells:
             return []
         s = self.spec
-        regions = []
-        keys = []
-        for style in styles:
+        regions = np.empty(len(cells))
+        core_index: Dict[Tuple, int] = {}
+        red_index: Dict[Optional[CpuReduction], int] = {}
+        core_at = np.empty(len(cells), dtype=np.int64)
+        red_at = np.empty(len(cells), dtype=np.int64)
+        for c, (_, style) in enumerate(cells):
             if style.model is Model.CUDA:
                 raise ValueError("CPUModel times OpenMP / C++-threads specs only")
-            regions.append(
+            regions[c] = (
                 s.cycles_region_omp
                 if style.model is Model.OPENMP
                 else s.cycles_region_cpp
             )
-            keys.append((style.model, style.omp_schedule, style.cpp_schedule))
-        mem_bw = self._bandwidth_for(trace)
-        pm = trace.profile_matrix()
-        cycles = np.empty((pm.n_steps, len(styles)))
-        cycles[:] = regions
+            key = (style.model, style.omp_schedule, style.cpp_schedule)
+            core_at[c] = core_index.setdefault(key, len(core_index))
+            red_at[c] = red_index.setdefault(
+                style.cpu_reduction, len(red_index)
+            )
+        core = red = np.empty((0, 0))
         if pm.nonzero.size:
-            cores: Dict[Tuple, np.ndarray] = {}
-            reds: Dict[Optional[CpuReduction], object] = {}
-            add = np.empty((len(styles), pm.nonzero.size))
-            # Memoized on the profile matrix per (device, group): warm
-            # re-timing replays the stored floats (see the GPU twin).
-            for i, style in enumerate(styles):
-                core = cores.get(keys[i])
-                if core is None:
-                    core = pm.geometry(
-                        ("cpu-core", s, keys[i]),
-                        lambda k=keys[i]: self._core_cycles_batch(
-                            pm, *k, mem_bw=mem_bw
-                        ),
-                    )
-                    cores[keys[i]] = core
-                red = reds.get(style.cpu_reduction)
-                if red is None:
-                    red = pm.geometry(
-                        ("cpu-red", s, style.cpu_reduction),
-                        lambda r=style.cpu_reduction: (
-                            self._reduction_cycles_batch(pm, r)
-                        ),
-                    )
-                    reds[style.cpu_reduction] = red
-                add[i] = core + red
-            cycles[pm.nonzero] += add.T
-        totals = pm.step_totals(cycles)
+            mem_bw = self._bandwidth_for(pm.footprint)
+            core = np.empty((len(core_index), pm.nonzero.size))
+            for key, at in core_index.items():
+                core[at] = self._core_cycles_batch(pm, *key, mem_bw=mem_bw)
+            red = np.empty((len(red_index), pm.nonzero.size))
+            for red_style, at in red_index.items():
+                red[at] = self._reduction_cycles_batch(pm, red_style)
+        totals = pm.cell_totals(
+            np.array([t for t, _ in cells], dtype=np.int64),
+            regions, core, core_at, red, red_at,
+        )
         return [float(s.seconds(t)) for t in totals]
 
     # ------------------------------------------------------------------
@@ -256,7 +243,10 @@ class CPUModel:
         return np.maximum(total / n_units, longest)
 
     def _memory_cycles_batch(
-        self, pm: ProfileMatrix, load_factor: float, mem_bw: float
+        self,
+        pm: ProfileMatrix,
+        load_factor: float,
+        mem_bw: float,
     ) -> np.ndarray:
         """Bandwidth bound over the nonzero steps: streaming structure +
         scattered data traffic."""

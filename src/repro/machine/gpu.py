@@ -26,7 +26,7 @@ structure reads) barely moves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .scheduling import (
     gpu_unit_cut,
 )
 from .specs import GPUSpec
-from .trace import ExecutionTrace, ProfileMatrix
+from .trace import ExecutionTrace, Footprint, ProfileMatrix, as_block
 
 __all__ = ["GPUModel"]
 
@@ -63,7 +63,9 @@ class GPUModel:
         self._bw_cache: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
-    def _bandwidth_for(self, trace: ExecutionTrace) -> float:
+    def _bandwidth_for(
+        self, trace: Union[ExecutionTrace, Footprint]
+    ) -> float:
         """Effective streaming bandwidth for this program's working set.
 
         When the CSR arrays plus the data arrays fit in the L2, repeated
@@ -83,75 +85,64 @@ class GPUModel:
             self._bw_cache[key] = bw
         return bw
 
-    def time_trace_batch(
-        self, trace: ExecutionTrace, styles: Sequence[StyleSpec]
-    ) -> List[float]:
-        """Simulated wall times of many mapping variants of one trace.
+    def time_trace_batch(self, block, cells) -> List[float]:
+        """Simulated wall times of many (trace, mapping variant) cells.
 
-        Computed as one vectorized pass over the trace's
-        :class:`~repro.machine.trace.ProfileMatrix`: core (issue + memory +
-        contention) cycles are evaluated once per distinct (granularity,
-        persistence, iteration) × atomic-flavor combination as a
-        per-step vector, reduction cycles once per distinct reduction
-        context, and styles gather their step columns by group index — a
-        style whose mapping differs only in the reduction axis reuses the
-        exact same core floats.  The per-step cycle matrix is summed over
-        the step axis in launch order
-        (:meth:`~repro.machine.trace.ProfileMatrix.step_totals`), so every
-        result is bit-identical to the frozen scalar walk in
-        ``tests/machine/scalar_oracle.py``, whatever the batch size.
+        ``block`` is a :class:`~repro.machine.trace.ProfileMatrix` and
+        ``cells`` its ``(trace index, style)`` pairs, or an
+        :class:`~repro.machine.trace.ExecutionTrace` and a list of styles
+        (see :func:`~repro.machine.trace.as_block`).
+
+        Computed as one vectorized pass over the block's steps: core
+        (issue + memory + contention) cycles are evaluated once per
+        distinct (granularity, persistence, iteration) × atomic-flavor
+        combination as a vector over every step of the block, reduction
+        cycles once per distinct reduction context, and each cell gathers
+        its trace's slice of both — a style whose mapping differs only in
+        the reduction axis reuses the exact same core floats.  Each
+        trace's cells are summed over its steps in launch order
+        (:meth:`~repro.machine.trace.ProfileMatrix.cell_totals`), so
+        every result is bit-identical to the frozen scalar walk in
+        ``tests/machine/scalar_oracle.py``, whatever the block or batch.
         """
-        styles = list(styles)
-        contexts = [self._style_context(style) for style in styles]
-        if not styles:
+        pm, cells = as_block(block, cells)
+        contexts = [self._style_context(style) for _, style in cells]
+        if not cells:
             return []
         s = self.spec
-        mem_bw = self._bandwidth_for(trace)
-        pm = trace.profile_matrix()
-        cycles = np.full((pm.n_steps, len(styles)), s.cycles_launch)
+        # Styles sharing (granularity, persistence, iteration) share one
+        # core evaluation, with their distinct atomic-flavor pairs as its
+        # rows; reduction vectors are shared per reduction context.
+        groups: Dict[Tuple, Dict[Tuple[float, float], None]] = {}
+        red_index: Dict[Tuple, int] = {}
+        core_keys = []
+        red_at = []
+        for style, gran, persistent, flavor_ls, flavor_rmw in contexts:
+            gkey = (gran, persistent, style.iteration)
+            groups.setdefault(gkey, {})[flavor_ls, flavor_rmw] = None
+            core_keys.append((gkey, (flavor_ls, flavor_rmw)))
+            rkey = (style.gpu_reduction, gran, flavor_rmw)
+            red_at.append(red_index.setdefault(rkey, len(red_index)))
+        row_of: Dict[Tuple, int] = {}
+        for gkey, flavors in groups.items():
+            for flavor in flavors:
+                row_of[gkey, flavor] = len(row_of)
+        core = red = np.empty((0, 0))
         if pm.nonzero.size:
-            # Core-cycle group index: styles sharing (granularity,
-            # persistence, iteration) share one batch evaluation, with
-            # their distinct atomic-flavor pairs as its rows.
-            core_rows: Dict[Tuple, Dict[Tuple[float, float], int]] = {}
-            for style, gran, persistent, flavor_ls, flavor_rmw in contexts:
-                rows = core_rows.setdefault(
-                    (gran, persistent, style.iteration), {}
-                )
-                rows.setdefault((flavor_ls, flavor_rmw), len(rows))
-            # Core and reduction vectors depend only on (trace, device,
-            # group), so they are memoized on the profile matrix — warm
-            # re-timing (trace-store resumes, cross-device matrix passes)
-            # replays the stored floats instead of recomputing them.
-            core_mats = {
-                gkey: pm.geometry(
-                    ("gpu-core", s, gkey, tuple(rows)),
-                    lambda gk=gkey, fl=tuple(rows): self._core_cycles_batch(
-                        pm, gk[0], gk[1], gk[2], list(fl), mem_bw
-                    ),
-                )
-                for gkey, rows in core_rows.items()
-            }
-            reds: Dict[Tuple, object] = {}
-            add = np.empty((len(styles), pm.nonzero.size))
-            for i, (style, gran, persistent, flavor_ls, flavor_rmw) in (
-                enumerate(contexts)
-            ):
-                gkey = (gran, persistent, style.iteration)
-                core = core_mats[gkey][core_rows[gkey][flavor_ls, flavor_rmw]]
-                rkey = (style.gpu_reduction, gran, flavor_rmw)
-                red = reds.get(rkey)
-                if red is None:
-                    red = pm.geometry(
-                        ("gpu-red", s, rkey),
-                        lambda rk=rkey: self._reduction_cycles_batch(
-                            pm, rk[0], rk[1], rk[2]
-                        ),
-                    )
-                    reds[rkey] = red
-                add[i] = core + red
-            cycles[pm.nonzero] += add.T
-        totals = pm.step_totals(cycles)
+            mem_bw = self._bandwidth_for(pm.footprint)
+            core = np.concatenate([
+                self._core_cycles_batch(pm, *gkey, list(flavors), mem_bw)
+                for gkey, flavors in groups.items()
+            ])
+            red = np.empty((len(red_index), pm.nonzero.size))
+            for rkey, at in red_index.items():
+                red[at] = self._reduction_cycles_batch(pm, *rkey)
+        totals = pm.cell_totals(
+            np.array([t for t, _ in cells], dtype=np.int64),
+            np.full(len(cells), s.cycles_launch),
+            core, np.array([row_of[key] for key in core_keys]),
+            red, np.array(red_at),
+        )
         return [float(s.seconds(t)) for t in totals]
 
     def _style_context(self, style: StyleSpec) -> Tuple:

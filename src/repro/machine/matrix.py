@@ -1,13 +1,16 @@
 """Cross-device variant-matrix timing.
 
 The paper's central artifact is the full (style variants × devices) timing
-matrix of one semantic execution.  :func:`time_matrix` produces exactly
-that in one pass: it builds the trace's
-:class:`~repro.machine.trace.ProfileMatrix` once (cached on the trace) and
-runs each device's vectorized batch over the styles that can execute
-there, so the whole matrix costs a handful of broadcast evaluations
-instead of ``styles × devices`` per-launch walks.  It is the one way the
-package times a trace: single runs are 1×1 matrices
+matrix of one semantic execution.  :func:`time_matrix` produces it for a
+block of traces — at sweep time, the semantic traces of one (algorithm,
+graph) pair — in one pass: the traces share one
+:class:`~repro.machine.trace.ProfileMatrix` over their concatenated steps,
+and each device's model is called once, evaluating each of its cycle
+vectors once over all of the block's steps before every trace sums its
+own cells.  The whole block costs a handful of broadcast evaluations per
+device instead of ``traces × styles × devices`` per-launch walks.  It is
+the one way the package times a trace: a single trace is a one-trace
+block (its matrix cached on the trace), and single runs are 1×1 matrices
 (:meth:`repro.runtime.launcher.Launcher.run`).  Every finite cell is
 bit-identical to the frozen per-launch scalar walk kept as the test
 oracle in ``tests/machine/scalar_oracle.py``.
@@ -15,15 +18,14 @@ oracle in ``tests/machine/scalar_oracle.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from ..styles.spec import StyleSpec
 from .cpu import CPUModel
 from .gpu import GPUModel
 from .specs import CPUSpec, GPUSpec
-from .trace import ExecutionTrace
+from .trace import ExecutionTrace, ProfileMatrix, as_block
 
 __all__ = ["time_matrix", "model_for_device"]
 
@@ -47,31 +49,39 @@ def model_for_device(device: DeviceSpec) -> Union[GPUModel, CPUModel]:
 
 
 def time_matrix(
-    trace: ExecutionTrace,
-    styles: Sequence[StyleSpec],
+    block: Union[ExecutionTrace, ProfileMatrix],
+    cells: Sequence,
     devices: Sequence[DeviceSpec],
+    *,
+    active: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Simulated seconds of every (style, device) pair in one pass.
+    """Simulated seconds of every (cell, device) pair in one pass.
 
-    Returns a ``(len(styles), len(devices))`` float64 matrix; cell
-    ``[i, j]`` is NaN when style ``i``'s programming model cannot run on
-    device ``j`` (a CUDA style on a CPU and vice versa), otherwise it is
-    the style's simulated seconds on that device.
+    ``time_matrix(trace, styles, devices)`` times one trace; with a block
+    :class:`~repro.machine.trace.ProfileMatrix`, ``cells`` are its
+    ``(trace index, style)`` pairs.  Each device's model is called once,
+    over every cell whose programming model runs there (and, with the
+    boolean ``(cells × devices)`` mask ``active``, that is marked in it).
+
+    Returns a ``(len(cells), len(devices))`` float64 matrix; cell
+    ``[i, j]`` is NaN when cell ``i`` was not timed on device ``j`` (a
+    CUDA style on a CPU and vice versa, or masked out), otherwise it is
+    the cell's simulated seconds on that device.
     """
-    styles = list(styles)
+    pm, cells = as_block(block, cells)
     devices = list(devices)
-    out = np.full((len(styles), len(devices)), np.nan)
+    out = np.full((len(cells), len(devices)), np.nan)
+    on_gpu = [style.model.is_gpu for _, style in cells]
     for j, device in enumerate(devices):
         gpu_device = isinstance(device, GPUSpec)
         indices = [
-            i for i, style in enumerate(styles)
-            if style.model.is_gpu == gpu_device
+            i for i, gpu in enumerate(on_gpu)
+            if gpu == gpu_device and (active is None or active[i, j])
         ]
         if not indices:
             continue
         model = model_for_device(device)
-        seconds = model.time_trace_batch(
-            trace, [styles[i] for i in indices]
+        out[indices, j] = model.time_trace_batch(
+            pm, [cells[i] for i in indices]
         )
-        out[indices, j] = seconds
     return out

@@ -17,7 +17,7 @@ suite, whose inner loops are uniform per trip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "IterationProfile",
     "ExecutionTrace",
     "ProfileMatrix",
+    "as_block",
     "conflict_stats",
 ]
 
@@ -165,6 +166,13 @@ class IterationProfile:
         return self.total_of(self.atomics_base, self.atomics_inner)
 
 
+class Footprint(NamedTuple):
+    """The input size of one trace, which fixes its streaming bandwidth."""
+
+    n_vertices: int
+    n_edges: int
+
+
 #: Float64 counter columns of :class:`ProfileMatrix`, in storage order.
 #: ``total_inner``/``max_inner``/``total_atomics`` are derived from the
 #: profile once so the vectorized models never walk ``inner`` arrays again.
@@ -192,16 +200,25 @@ PROFILE_FIELDS = (
 
 
 class ProfileMatrix:
-    """A trace's per-step counters stacked into one ``(steps × fields)``
-    ndarray, plus the masks and index vectors the vectorized device models
-    broadcast over.
+    """The per-step counters of one or more traces stacked into one
+    ``(steps × fields)`` ndarray, plus the masks and index vectors the
+    vectorized device models broadcast over.
+
+    A sweep block's traces (every semantic execution of one algorithm on
+    one graph) share one matrix: their steps are concatenated in trace
+    order and :attr:`bounds` marks where each trace's steps start, so a
+    device model evaluates each of its cycle vectors once for the whole
+    block.  The traces must share one input size (:attr:`footprint`).
+    Everything per step is elementwise, so a step's cycles do not depend
+    on which other traces share the matrix.
 
     The device models only spend cycles on steps with work, so every field
     attribute (``base_cycles``, ``atomics_inner``, ...) is the column
     restricted to the steps with ``n_items > 0``; :attr:`nonzero` maps
-    those rows back to step positions and :attr:`data` holds the full
-    unrestricted matrix.  All counts are exactly representable in float64
-    (they are far below 2**53), so stacking loses no precision.
+    those rows back to step positions, :attr:`live_bounds` marks each
+    trace's first such row and :attr:`data` holds the full unrestricted
+    matrix.  All counts are exactly representable in float64 (they are
+    far below 2**53), so stacking loses no precision.
 
     The nonzero steps with an inner loop additionally have their trip
     arrays concatenated once, with their start positions, into
@@ -209,19 +226,21 @@ class ProfileMatrix:
     indexed by nonzero row): the device-independent input from which each
     device cut derives every launch's per-unit work in one pass.
 
-    Built once per trace via :meth:`ExecutionTrace.profile_matrix` and
-    cached there, together with every cut and cycle matrix derived from
-    it (:meth:`geometry`).
+    A one-trace matrix is built by :meth:`ExecutionTrace.profile_matrix`
+    and cached there.  Every matrix memoizes the unit geometry derived
+    from it (:meth:`geometry`), so devices that cut its launches alike
+    share one cut.
     """
 
     __slots__ = ("data", "n_steps", "nonzero", "n_items_int", "has_inner",
-                 "same_address", "atomic_minmax", "ragged",
-                 "_geometry") + PROFILE_FIELDS
+                 "same_address", "atomic_minmax", "ragged", "bounds",
+                 "live_bounds", "footprint", "_geometry") + PROFILE_FIELDS
 
-    def __init__(self, profiles: List[IterationProfile]):
+    def __init__(self, traces: Sequence["ExecutionTrace"]):
+        profiles = [p for trace in traces for p in trace.profiles]
         n = len(profiles)
-        data = np.empty((n, len(PROFILE_FIELDS)))
-        for j, p in enumerate(profiles):
+        rows = []
+        for p in profiles:
             inner = p.inner
             if inner is None or inner.size == 0:
                 total_inner = 0
@@ -229,7 +248,7 @@ class ProfileMatrix:
             else:
                 total_inner = int(inner.sum())
                 max_inner = int(inner.max())
-            data[j] = (
+            rows.append((
                 p.n_items, total_inner, max_inner,
                 p.base_cycles, p.inner_cycles,
                 p.struct_loads_base, p.struct_loads_inner,
@@ -238,12 +257,22 @@ class ProfileMatrix:
                 p.atomics_base, p.atomics_inner,
                 p.conflict_extra, p.max_conflict,
                 p.hot_atomics, p.reduction_items, p.barriers_per_item,
-                p.total_of(p.atomics_base, p.atomics_inner),
-            )
+                p.atomics_base * p.n_items + p.atomics_inner * total_inner,
+            ))
+        data = np.array(rows, dtype=np.float64).reshape(n, len(PROFILE_FIELDS))
         self.data = data
         self.n_steps = n
+        bounds = np.zeros(len(traces) + 1, dtype=np.int64)
+        np.cumsum([len(trace.profiles) for trace in traces], out=bounds[1:])
+        self.bounds = bounds
+        footprints = {Footprint(t.n_vertices, t.n_edges) for t in traces}
+        if len(footprints) > 1:
+            raise ValueError("a block's traces must share one input graph")
+        #: The input size, which fixes the streaming bandwidth.
+        self.footprint = footprints.pop() if footprints else Footprint(0, 0)
         nonzero = np.flatnonzero(data[:, 0] > 0)
         self.nonzero = nonzero
+        self.live_bounds = np.searchsorted(nonzero, bounds)
         sub = data[nonzero]
         for i, name in enumerate(PROFILE_FIELDS):
             setattr(self, name, sub[:, i])
@@ -274,6 +303,40 @@ class ProfileMatrix:
             self._geometry[key] = value
         return value
 
+    def cell_totals(
+        self,
+        traces: np.ndarray,
+        launch: np.ndarray,
+        core: np.ndarray,
+        core_rows: np.ndarray,
+        red: np.ndarray,
+        red_rows: np.ndarray,
+    ) -> np.ndarray:
+        """Total cycles of many (trace, style) cells of this matrix.
+
+        Cell ``c`` belongs to trace ``traces[c]``, pays ``launch[c]`` on
+        every one of its steps and ``core[core_rows[c]] +
+        red[red_rows[c]]`` (vectors over the nonzero steps) on top on the
+        steps with work.  Each trace's cells are summed over that trace's
+        own steps in step order (:meth:`step_totals`), exactly as a
+        matrix of that trace alone sums them.
+        """
+        totals = np.empty(len(traces))
+        order = np.argsort(traces, kind="stable")
+        cuts = np.flatnonzero(np.diff(traces[order])) + 1
+        bounds, live = self.bounds, self.live_bounds
+        for idx in np.split(order, cuts):
+            t = traces[idx[0]]
+            lo, zlo, zhi = bounds[t], live[t], live[t + 1]
+            cycles = np.empty((bounds[t + 1] - lo, idx.size))
+            cycles[:] = launch[idx]
+            if zhi > zlo:
+                add = core[core_rows[idx], zlo:zhi]
+                add += red[red_rows[idx], zlo:zhi]
+                cycles[self.nonzero[zlo:zhi] - lo] += add.T
+            totals[idx] = self.step_totals(cycles)
+        return totals
+
     @staticmethod
     def step_totals(cycles: np.ndarray) -> np.ndarray:
         """Column sums of a ``(steps × styles)`` cycle matrix, accumulated
@@ -287,6 +350,18 @@ class ProfileMatrix:
         if cycles.shape[1] > 1 or not len(cycles):
             return np.add.reduce(cycles, axis=0)
         return np.add.accumulate(cycles, axis=0)[-1]
+
+
+def as_block(block, cells) -> "Tuple[ProfileMatrix, list]":
+    """The ``(matrix, cells)`` form of a timing call's arguments.
+
+    A block is a :class:`ProfileMatrix` with ``(trace index, style)``
+    cells; an :class:`ExecutionTrace` with a list of styles is the
+    one-trace block of its own cached matrix.
+    """
+    if isinstance(block, ExecutionTrace):
+        return block.profile_matrix(), [(0, style) for style in cells]
+    return block, list(cells)
 
 
 @dataclass
@@ -316,7 +391,7 @@ class ExecutionTrace:
         """
         pm = getattr(self, "_profile_matrix", None)
         if pm is None:
-            pm = ProfileMatrix(self.profiles)
+            pm = ProfileMatrix([self])
             self._profile_matrix = pm
         return pm
 

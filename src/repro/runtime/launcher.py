@@ -6,6 +6,13 @@ methodological core): the *semantic* axes determine what is executed, the
 therefore executed once per (graph, semantic combination) and re-timed for
 every mapping combination and device — exactly the "compare styles with
 everything else held fixed" discipline of Section 5.
+
+A sweep block (every variant of one algorithm on one graph, across the
+programming models and devices) is one :meth:`Launcher.run_matrix` call:
+its semantic traces are fetched first, then timed together as one block
+matrix with one model call per device
+(:func:`repro.machine.time_matrix`), in passes of at most
+:data:`PASS_ITEMS` work items.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from ..kernels.base import KernelResult
 from ..kernels.registry import build_kernel
 from ..machine.matrix import time_matrix
 from ..machine.specs import CPUSpec, GPUSpec
-from ..styles.axes import Algorithm
+from ..machine.trace import ProfileMatrix
+from ..styles.axes import Algorithm, Model
 from ..styles.spec import SemanticKey, StyleSpec
 from .budget import BudgetExceeded, ResourceBudget
 from .verify import reference_solution, verify_result
@@ -66,6 +74,28 @@ class RunResult:
     def __post_init__(self) -> None:
         if self.seconds <= 0:
             raise ValueError("simulated time must be positive")
+
+
+#: Work items (summed over launches) that one timing pass covers at
+#: most.  A block's traces are timed together up to this size, and a
+#: larger trace is a pass of its own: every tiny-scale block (at most
+#: 1.2M items) is one pass, while the temporaries of a default-scale pass
+#: stay those of one large trace.
+PASS_ITEMS = 1 << 21
+
+
+def _timing_passes(results: Sequence[KernelResult]):
+    """``(first, stop)`` runs of consecutive traces of at most
+    :data:`PASS_ITEMS` items each (or a single larger trace)."""
+    first = items = 0
+    for t, result in enumerate(results):
+        n = result.trace.total_work_items
+        if t > first and items + n > PASS_ITEMS:
+            yield first, t
+            first, items = t, 0
+        items += n
+    if results:
+        yield first, len(results)
 
 
 class Launcher:
@@ -213,79 +243,140 @@ class Launcher:
     ) -> List[List[Optional[RunResult]]]:
         """Run many program variants across many devices in one pass.
 
-        Returns ``results[d][i]`` — the run of spec ``i`` on device ``d``.
-        Each distinct semantic trace is fetched exactly once for the whole
-        device list and timed by one :func:`~repro.machine.time_matrix`
-        call over the devices that admit it, so the variant×device matrix
-        of a sweep block costs one trace walk plus a few broadcast
-        evaluations per device.
+        Returns ``results[d][i]`` — the run of spec ``i`` on device ``d``,
+        or ``None`` where it has none.  Specs may be of several
+        programming models and devices of both kinds: each spec runs on
+        the devices of its own kind.
 
-        ``on_error(spec, device, exc)`` receives per-cell failures (the
-        whole group's cells when the semantic execution or its timing
-        fails); without it the first failure propagates.  Invalid specs
-        and model/device mismatches always raise — those are caller bugs,
-        not sweep data.
+        Every semantic group (the specs of one programming model that
+        share a semantic trace) is fetched first, with its footprint,
+        execution and verification failures captured per group.  The
+        fetched traces — each distinct one once — are then timed
+        together: one block :class:`~repro.machine.trace.ProfileMatrix`
+        and one :func:`~repro.machine.time_matrix` pass, one model call
+        per device, per run of traces of at most :data:`PASS_ITEMS` work
+        items (a whole tiny-scale block is one pass).  A pass's matrix
+        lives for that pass only.
+
+        ``on_error(spec, device, exc)`` receives per-cell failures (every
+        cell of a group whose semantic execution fails, every cell of a
+        timing pass that fails), group by group in the order the specs
+        list them; without it the first failure propagates.  Invalid
+        specs and a spec with no device of its kind always raise — those
+        are caller bugs, not sweep data.
         """
         specs = list(specs)
         devices = list(devices)
-        groups: Dict[SemanticKey, List[int]] = {}
+        kinds = {isinstance(device, GPUSpec) for device in devices}
+        groups: Dict[Tuple[Model, SemanticKey], List[int]] = {}
         for i, spec in enumerate(specs):
             spec.validate()
-            for device in devices:
-                self._check_pairing(spec, device)
-            groups.setdefault(spec.semantic_key(), []).append(i)
+            if spec.model.is_gpu not in kinds:
+                raise ValueError(
+                    f"{spec.model.value} programs cannot run on "
+                    + ", ".join(device.name for device in devices)
+                )
+            key = (spec.model, spec.semantic_key())
+            groups.setdefault(key, []).append(i)
         out: List[List[Optional[RunResult]]] = [
             [None] * len(specs) for _ in devices
         ]
-        for indices in groups.values():
-            batch = [specs[i] for i in indices]
+        # Failures are collected per group and reported after the pass,
+        # so their order does not depend on the phase that found them.
+        errors: List[List[Tuple[int, int, Exception]]] = []
+
+        def fail(group_errors, cells, exc):
+            if on_error is None:
+                raise exc
+            group_errors.extend((d, i, exc) for d, i in cells)
+
+        fetched = []  # (group number, spec indices, active devices, trace)
+        results: List[KernelResult] = []
+        trace_of: Dict[SemanticKey, int] = {}
+        for (model, semantic), indices in groups.items():
+            group_errors: List[Tuple[int, int, Exception]] = []
+            errors.append(group_errors)
             # The footprint gate must keep its pre-execution semantics:
             # only run the kernel if some device admits the variant.
             active: List[int] = []
             for d, device in enumerate(devices):
+                if isinstance(device, GPUSpec) != model.is_gpu:
+                    continue
                 try:
                     if self.budget.active:
                         self.budget.check_footprint(
                             graph, specs[indices[0]], device
                         )
                 except Exception as exc:
-                    if on_error is None:
-                        raise
-                    for i in indices:
-                        on_error(specs[i], device, exc)
+                    fail(group_errors, [(d, i) for i in indices], exc)
                     continue
                 active.append(d)
             if not active:
                 continue
             try:
                 result = self.execute_semantic(specs[indices[0]], graph)
-                seconds = time_matrix(
-                    result.trace, batch, [devices[d] for d in active]
+            except Exception as exc:
+                fail(
+                    group_errors,
+                    [(d, i) for d in active for i in indices], exc,
+                )
+                continue
+            t = trace_of.setdefault(semantic, len(results))
+            if t == len(results):
+                results.append(result)
+            fetched.append((len(errors) - 1, indices, active, t))
+
+        # One timing pass per run of traces (see PASS_ITEMS); seconds are
+        # indexed like ``out``, transposed.
+        trace_at = np.full(len(specs), -1)
+        mask = np.zeros((len(specs), len(devices)), dtype=bool)
+        for _, indices, active, t in fetched:
+            trace_at[indices] = t
+            mask[np.ix_(indices, active)] = True
+        seconds = np.full(mask.shape, np.nan)
+        pass_error: List[Optional[Exception]] = [None] * len(results)
+        for first, stop in _timing_passes(results):
+            rows = np.flatnonzero((trace_at >= first) & (trace_at < stop))
+            try:
+                seconds[rows] = time_matrix(
+                    ProfileMatrix([r.trace for r in results[first:stop]]),
+                    [(trace_at[i] - first, specs[i]) for i in rows],
+                    devices,
+                    active=mask[rows],
                 )
             except Exception as exc:
                 if on_error is None:
                     raise
-                for d in active:
-                    for i in indices:
-                        on_error(specs[i], devices[d], exc)
+                pass_error[first:stop] = [exc] * (stop - first)
+
+        cells = seconds.tolist()
+        check_seconds = self.budget.active
+        for g, indices, active, t in fetched:
+            if pass_error[t] is not None:
+                fail(
+                    errors[g],
+                    [(d, i) for d in active for i in indices],
+                    pass_error[t],
+                )
                 continue
-            for col, d in enumerate(active):
-                for row, i in enumerate(indices):
-                    cell = float(seconds[row, col])
-                    if self.budget.active:
+            for d in active:
+                for i in indices:
+                    cell = cells[i][d]
+                    if check_seconds:
                         try:
                             self.budget.check_seconds(
                                 cell,
                                 label=f"{specs[i].label()} on {graph.name}",
                             )
                         except BudgetExceeded as exc:
-                            if on_error is None:
-                                raise
-                            on_error(specs[i], devices[d], exc)
+                            fail(errors[g], [(d, i)], exc)
                             continue
                     out[d][i] = self._result(
-                        specs[i], graph, devices[d], result, cell
+                        specs[i], graph, devices[d], results[t], cell
                     )
+        for group_errors in errors:
+            for d, i, exc in group_errors:
+                on_error(specs[i], devices[d], exc)
         return out
 
     def _result(
@@ -308,14 +399,6 @@ class Launcher:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_pairing(spec: StyleSpec, device: DeviceSpec) -> None:
-        is_gpu_device = isinstance(device, GPUSpec)
-        if spec.model.is_gpu != is_gpu_device:
-            raise ValueError(
-                f"{spec.model.value} programs cannot run on {device.name}"
-            )
-
     def _kernel_for(self, algorithm: Algorithm, graph: CSRGraph):
         key = (graph.fingerprint(), algorithm)
         kernel = self._kernels.get(key)

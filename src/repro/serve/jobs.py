@@ -78,7 +78,7 @@ def execute_job_inline(job: SweepJob, *, attempt: int = 1) -> dict:
     without process supervision.
     """
     from ..bench import faults
-    from ..bench.harness import sweep_block_runs
+    from ..bench.harness import block_grid, sweep_block_runs
     from ..machine.devices import CPUS, GPUS
 
     config_devices = {
@@ -99,13 +99,14 @@ def execute_job_inline(job: SweepJob, *, attempt: int = 1) -> dict:
     failures = []
     for algorithm in job.algorithms:
         faults.inject_executor_fault(algorithm.value, job.graph.name, attempt)
-        for model in job.models:
-            specs = enumerate_specs(algorithm, model)
-            for run in sweep_block_runs(
-                launcher, specs, job.graph, config_devices[model],
-                failures=failures,
-            ):
-                runs.append(run)
+        specs, devices = block_grid(
+            job.models,
+            lambda model: enumerate_specs(algorithm, model),
+            config_devices.get,
+        )
+        runs.extend(sweep_block_runs(
+            launcher, specs, job.graph, devices, failures=failures,
+        ))
         launcher.release(job.graph, algorithm)
     return summarize_runs(runs, failures, launcher.kernel_executions)
 

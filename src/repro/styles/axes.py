@@ -39,7 +39,19 @@ __all__ = [
 ]
 
 
-class Algorithm(enum.Enum):
+class _Axis(enum.Enum):
+    """Memberless base of the axis enums.
+
+    ``Enum.__hash__`` hashes the member's name in Python code on every
+    call, and axis values key the result indices and the timing models'
+    style groups.  Enum equality is identity, so the identity hash is a
+    valid hash and costs no Python frame.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Algorithm(_Axis):
     """The 6 graph problems of Table 1."""
 
     CC = "cc"  # Connected Components (connectivity)
@@ -50,7 +62,7 @@ class Algorithm(enum.Enum):
     SSSP = "sssp"  # Single-Source Shortest Path (shortest path)
 
 
-class Model(enum.Enum):
+class Model(_Axis):
     """The 3 programming models (Section 2)."""
 
     CUDA = "cuda"
@@ -62,56 +74,56 @@ class Model(enum.Enum):
         return self is Model.CUDA
 
 
-class Iteration(enum.Enum):
+class Iteration(_Axis):
     """Section 2.1: iterate over vertices (CSR) or edges (COO)."""
 
     VERTEX = "vertex"
     EDGE = "edge"
 
 
-class Driver(enum.Enum):
+class Driver(_Axis):
     """Section 2.2: process all elements or only a worklist."""
 
     TOPOLOGY = "topology"
     DATA = "data"
 
 
-class Dup(enum.Enum):
+class Dup(_Axis):
     """Section 2.3: allow duplicate items on the worklist or not."""
 
     DUP = "dup"
     NODUP = "nodup"
 
 
-class Flow(enum.Enum):
+class Flow(_Axis):
     """Section 2.4: push updates to neighbors or pull from them."""
 
     PUSH = "push"
     PULL = "pull"
 
 
-class Update(enum.Enum):
+class Update(_Axis):
     """Section 2.5: plain read+conditional-write vs atomic RMW."""
 
     READ_WRITE = "rw"
     READ_MODIFY_WRITE = "rmw"
 
 
-class Determinism(enum.Enum):
+class Determinism(_Axis):
     """Section 2.6: two-array (internally deterministic) vs in-place."""
 
     DETERMINISTIC = "det"
     NON_DETERMINISTIC = "nondet"
 
 
-class Persistence(enum.Enum):
+class Persistence(_Axis):
     """Section 2.7 (GPU only): resident grid vs one thread per item."""
 
     PERSISTENT = "persistent"
     NON_PERSISTENT = "nonpersistent"
 
 
-class Granularity(enum.Enum):
+class Granularity(_Axis):
     """Section 2.8 (GPU only): unit that owns one work item's inner loop."""
 
     THREAD = "thread"
@@ -119,14 +131,14 @@ class Granularity(enum.Enum):
     BLOCK = "block"
 
 
-class AtomicFlavor(enum.Enum):
+class AtomicFlavor(_Axis):
     """Section 2.9 (CUDA only): classic atomics vs default cuda::atomic."""
 
     ATOMIC = "atomic"
     CUDA_ATOMIC = "cudaatomic"
 
 
-class GpuReduction(enum.Enum):
+class GpuReduction(_Axis):
     """Section 2.10.1 (GPU, PR/TC only)."""
 
     GLOBAL_ADD = "global_add"
@@ -134,7 +146,7 @@ class GpuReduction(enum.Enum):
     REDUCTION_ADD = "reduction_add"
 
 
-class CpuReduction(enum.Enum):
+class CpuReduction(_Axis):
     """Section 2.10.2 (CPU, PR/TC only).
 
     ``CLAUSE`` is OpenMP's reduction clause; the C++-threads equivalent is
@@ -147,14 +159,14 @@ class CpuReduction(enum.Enum):
     CLAUSE = "clause_red"
 
 
-class OmpSchedule(enum.Enum):
+class OmpSchedule(_Axis):
     """Section 2.11 (OpenMP only)."""
 
     DEFAULT = "default"
     DYNAMIC = "dynamic"
 
 
-class CppSchedule(enum.Enum):
+class CppSchedule(_Axis):
     """Section 2.12 (C++ threads only)."""
 
     BLOCKED = "blocked"

@@ -419,3 +419,140 @@ class TestLaunchCountIndependence:
         assert threadripper["cpu_cut"] == len(CppSchedule)
         assert xeon["cpu_cut"] == 0
         assert small_cpu["cpu_cut"] > 0
+
+
+# ----------------------------------------------------------------------
+# Block matrices: many traces share one ProfileMatrix
+# ----------------------------------------------------------------------
+#: Item counts for block traces: below and above SMALL_GPU's 96 resident
+#: threads (and SMALL_CPU's 3), all far below RTX 3090's grid.
+BLOCK_ITEMS = [0, 1, 2, 5, 31, 33, 95, 97, 150, 300]
+
+
+@st.composite
+def trace_blocks(draw):
+    """Blocks of synthetic traces on one input (cache-resident or not):
+    1-step and long (>= 8-step) traces, ``n_items == 0`` steps, traces
+    without any ``inner``, launches between the two GPUs' resident
+    grids, and per trace either VERTEX or EDGE styles (some timed by a
+    single style)."""
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    n_vertices = int(rng.choice([64, 10**6]))
+    n_edges = int(rng.choice([256, 10**7]))
+    traces, cells = [], []
+    for t in range(draw(st.integers(1, 5))):
+        trace = ExecutionTrace(n_vertices=n_vertices, n_edges=n_edges)
+        n_steps = draw(st.sampled_from([1, 2, 5, 8, 9, 13]))
+        arrayful = draw(st.sampled_from(["none", "some", "all"]))
+        for _ in range(n_steps):
+            n = int(rng.choice(BLOCK_ITEMS))
+            inner = None
+            if arrayful == "all" or (arrayful == "some" and rng.rand() < 0.5):
+                inner = rng.randint(0, int(rng.choice([2, 40])), size=n)
+            trace.add(IterationProfile(
+                n_items=n,
+                inner=inner,
+                base_cycles=float(rng.choice([1.0, 3.5])),
+                inner_cycles=float(rng.rand() * 3),
+                struct_loads_base=float(rng.randint(0, 3)),
+                struct_loads_inner=float(rng.randint(0, 2)),
+                shared_loads_base=float(rng.rand()),
+                shared_stores_inner=float(rng.rand()),
+                atomics_base=float(rng.choice([0.0, 1.0])),
+                atomics_inner=float(rng.choice([0.0, 0.5])),
+                atomic_minmax=bool(rng.rand() < 0.5),
+                atomics_same_address_per_item=bool(rng.rand() < 0.3),
+                conflict_extra=float(rng.randint(0, 20)),
+                max_conflict=int(rng.randint(0, 4)),
+                hot_atomics=float(rng.choice([0.0, 1.0])),
+                reduction_items=float(rng.choice([0.0, n])),
+                barriers_per_item=float(rng.choice([0.0, 1.0])),
+            ))
+        traces.append(trace)
+        iteration = draw(st.sampled_from(list(Iteration)))
+        pool = [
+            s for s in BOUNDARY_STYLES
+            if not s.model.is_gpu or s.iteration is iteration
+        ]
+        styles = draw(st.lists(
+            st.sampled_from(pool), min_size=1, max_size=6, unique=True
+        ))
+        cells.extend((t, style) for style in styles)
+    return traces, cells
+
+
+def block_of(traces, cells):
+    """time_matrix over one block matrix of ``traces``."""
+    return time_matrix(ProfileMatrix(traces), cells, BOUNDARY_DEVICES)
+
+
+class TestBlockMatrix:
+    """A block of traces timed together: every cell equals its trace
+    timed alone and the scalar oracle, whatever else is in the block."""
+
+    @given(trace_blocks())
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_block_cells_equal_lone_traces_and_oracle(self, block):
+        traces, cells = block
+        matrix = block_of(traces, cells)
+        for t, trace in enumerate(traces):
+            rows = [c for c, (owner, _) in enumerate(cells) if owner == t]
+            styles = [cells[c][1] for c in rows]
+            alone = time_matrix(trace, styles, BOUNDARY_DEVICES)
+            np.testing.assert_array_equal(matrix[rows], alone)
+            for row, style in zip(rows, styles):
+                for j, device in enumerate(BOUNDARY_DEVICES):
+                    if style.model.is_gpu != hasattr(device, "sm_count"):
+                        assert np.isnan(matrix[row, j])
+                    else:
+                        assert matrix[row, j] == scalar_cell(
+                            trace, style, device
+                        ), (t, style.label(), device.name)
+
+    @given(trace_blocks(), st.randoms(use_true_random=False))
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_trace_order_changes_no_cell(self, block, random):
+        traces, cells = block
+        order = list(range(len(traces)))
+        random.shuffle(order)
+        position = {t: k for k, t in enumerate(order)}
+        shuffled = block_of(
+            [traces[t] for t in order],
+            [(position[t], style) for t, style in cells],
+        )
+        np.testing.assert_array_equal(shuffled, block_of(traces, cells))
+
+    def test_traces_of_different_inputs_are_rejected(self):
+        small = ExecutionTrace(n_vertices=8, n_edges=8)
+        large = ExecutionTrace(n_vertices=8, n_edges=16)
+        with pytest.raises(ValueError, match="one input graph"):
+            ProfileMatrix([small, large])
+
+    def test_one_model_call_per_device(self, monkeypatch):
+        """A block is timed with one batch call per device, over all of
+        its cells of that device's kind."""
+        traces = [TestLaunchCountIndependence._trace(n) for n in (3, 4, 5)]
+        cells = [(t, style) for t in range(3) for style in BOUNDARY_STYLES]
+        calls = []
+        for cls in (GPUModel, CPUModel):
+            real = cls.time_trace_batch
+
+            def counted(model, block, batch, real=real):
+                calls.append((model.spec.name, len(batch)))
+                return real(model, block, batch)
+
+            monkeypatch.setattr(cls, "time_trace_batch", counted)
+        block_of(traces, cells)
+        n_gpu = sum(style.model.is_gpu for style in BOUNDARY_STYLES)
+        assert calls == [
+            (device.name,
+             3 * (n_gpu if hasattr(device, "sm_count")
+                  else len(BOUNDARY_STYLES) - n_gpu))
+            for device in BOUNDARY_DEVICES
+        ]

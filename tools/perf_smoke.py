@@ -26,7 +26,10 @@ and devices) timed under the per-spec scalar loop — the frozen
 per-launch walk of ``tests/machine/scalar_oracle.py``, one call per
 (spec, device) cell — and under the vectorized ``Launcher.run_matrix``
 path; the vectorized path must be bit-identical and beat the scalar loop
-by at least ``--min-matrix-speedup``.  A worker-scaling curve of the parallel sweep
+by at least ``--min-matrix-speedup``.  A warm tiny full sweep must time
+each (algorithm, graph) block with at most one
+``time_trace_batch`` call per device — a count, so a return to
+per-trace timing fails on any runner.  A worker-scaling curve of the parallel sweep
 (``--scaling-workers``) is recorded alongside, ungated — CI runners have
 too few cores for a meaningful gate.
 
@@ -98,6 +101,54 @@ ADVISOR_ROUNDS = 300
 RECORDED_BATCHED_SECONDS = 0.026511
 
 
+def sweep_batch_calls() -> dict:
+    """Count the timing models' batch calls of a warm tiny full sweep.
+
+    A cold sweep fills a temporary trace store; the warm sweep that
+    follows runs with ``GPUModel``/``CPUModel.time_trace_batch`` wrapped
+    to count calls and cells.
+    """
+    import shutil
+
+    from repro.bench import SweepConfig, TraceStore, run_sweep
+    from repro.machine import CPUModel, GPUModel
+    from repro.runtime import Launcher
+
+    config = SweepConfig(scale="tiny")
+    tmp = tempfile.mkdtemp(prefix="repro-batch-calls-")
+    cells = []
+
+    def counting(real):
+        def time_trace_batch(model, block, batch):
+            cells.append(len(batch))
+            return real(model, block, batch)
+        return time_trace_batch
+
+    def sweep():
+        return run_sweep(config, launcher=Launcher(
+            verify=config.verify, trace_store=TraceStore(tmp)
+        ))
+
+    originals = {cls: cls.time_trace_batch for cls in (GPUModel, CPUModel)}
+    try:
+        sweep()
+        for cls, real in originals.items():
+            cls.time_trace_batch = counting(real)
+        warm = sweep()
+    finally:
+        for cls, real in originals.items():
+            cls.time_trace_batch = real
+        shutil.rmtree(tmp, ignore_errors=True)
+    return {
+        "blocks": len(config.algorithms) * len(warm.graphs),
+        "devices": len(config.gpu_names) + len(config.cpu_names),
+        "batch_calls": len(cells),
+        "cells_timed": sum(cells),
+        "runs": len(warm.runs),
+        "kernel_executions": warm.kernel_executions,
+    }
+
+
 def matrix_smoke(args) -> tuple:
     """Time per-spec vs vectorized-matrix on the warm block workload."""
     from repro.bench import SweepConfig, run_sweep_parallel
@@ -162,6 +213,13 @@ def matrix_smoke(args) -> tuple:
     print(f"  per-spec {scalar_s:.4f}s, matrix {matrix_s:.4f}s, "
           f"speedup {speedup:.2f}x", flush=True)
 
+    print("perf smoke: batch calls of a warm tiny full sweep ...", flush=True)
+    calls = sweep_batch_calls()
+    max_calls = calls["blocks"] * calls["devices"]
+    print(f"  {calls['batch_calls']} calls for {calls['blocks']} blocks x "
+          f"{calls['devices']} devices, {calls['cells_timed']} cells",
+          flush=True)
+
     print("perf smoke: parallel-sweep worker-scaling curve ...", flush=True)
     scaling_config = SweepConfig(
         scale="tiny",
@@ -198,6 +256,16 @@ def matrix_smoke(args) -> tuple:
             f"vectorized matrix speedup {speedup:.2f}x is below the "
             f"{args.min_matrix_speedup:g}x floor"
         )
+    if calls["batch_calls"] > max_calls:
+        failures.append(
+            f"warm tiny sweep made {calls['batch_calls']} batch calls "
+            f"(ceiling: one per block and device, {max_calls})"
+        )
+    if calls["kernel_executions"] or calls["cells_timed"] != calls["runs"]:
+        failures.append(
+            f"warm tiny sweep ran {calls['kernel_executions']} kernels and "
+            f"timed {calls['cells_timed']} cells for {calls['runs']} runs"
+        )
 
     payload = {
         "benchmark": "warm sweep-block PR x soc-LiveJournal1 (tiny), "
@@ -212,6 +280,7 @@ def matrix_smoke(args) -> tuple:
             RECORDED_BATCHED_SECONDS / matrix_s, 3
         ),
         "bit_identical": bit_identical,
+        "warm_tiny_sweep": {**calls, "max_batch_calls": max_calls},
         "worker_scaling": {
             "config": "BFS+PR x 2 graphs (tiny), trace cache off",
             "cpu_count": cpu_count,
