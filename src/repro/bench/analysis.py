@@ -20,7 +20,6 @@ from ..styles.axes import (
     Persistence,
     Update,
 )
-from ..runtime.launcher import RunResult
 from .harness import StudyResults
 
 __all__ = [
@@ -54,27 +53,27 @@ def best_style_percentages(
     and axis option, the percentage of those winners using that option
     (among winners for which the axis applies).
     """
-    best: Dict[Tuple, RunResult] = {}
-    for run in results.runs:
-        key = (run.spec.model, run.spec.algorithm, run.graph, run.device)
-        cur = best.get(key)
-        if cur is None or run.throughput_ges > cur.throughput_ges:
-            best[key] = run
+    view = results.columns()
+    # Each (model, algorithm, graph, device) cell's first fastest run:
+    # sort by cell, then throughput descending (lexsort is stable, so
+    # ties stay in run order).
+    cell = view.labels("model", "algorithm", "graph", "device")
+    order = np.lexsort((-view.throughput, cell))
+    sorted_cells = cell[order]
+    firsts = np.ones(order.size, dtype=bool)
+    firsts[1:] = sorted_cells[1:] != sorted_cells[:-1]
+    best = order[firsts]
     out: Dict[Model, Dict[str, Dict[str, float]]] = {}
     for model in Model:
-        winners = [r for k, r in best.items() if k[0] is model]
+        winners = best[view.codes["model"][best] == view.code("model", model)]
         table: Dict[str, Dict[str, float]] = {}
         for axis, options in BEST_STYLE_AXES.items():
-            applicable = [
-                r for r in winners if r.spec.axis_value(axis) is not None
-            ]
-            if not applicable:
+            codes = view.codes[axis][winners]
+            if not codes.any():
                 table[axis] = {}
                 continue
             counts = {
-                opt.value: sum(
-                    1 for r in applicable if r.spec.axis_value(axis) is opt
-                )
+                opt.value: int(np.count_nonzero(codes == view.code(axis, opt)))
                 for opt in options
             }
             total = sum(counts.values())
@@ -111,16 +110,16 @@ def style_combination_matrix(
     divided by the median throughput of the runs using X but not Y
     (NaN when either set is empty).  Returns (labels, matrix).
     """
-    runs = list(results.select(models=[model]))
+    view = results.columns()
+    rows = view.rows(models=[model])
     labels = [f"{opt.value}" for _axis, opt in COMBINATION_STYLES]
     k = len(COMBINATION_STYLES)
     matrix = np.full((k, k), np.nan)
-    masks = []
-    for axis, opt in COMBINATION_STYLES:
-        masks.append(
-            np.array([run.spec.axis_value(axis) is opt for run in runs], dtype=bool)
-        )
-    thr = np.array([run.throughput_ges for run in runs])
+    masks = [
+        view.codes[axis][rows] == view.code(axis, opt)
+        for axis, opt in COMBINATION_STYLES
+    ]
+    thr = view.throughput[rows]
     for i, (axis_i, _opt_i) in enumerate(COMBINATION_STYLES):
         for j, (axis_j, _opt_j) in enumerate(COMBINATION_STYLES):
             if i == j or axis_i == axis_j:
@@ -167,32 +166,37 @@ def property_correlations(
         "pct_deg_ge_512": lambda p: p.pct_deg_ge_512,
         "diameter": lambda p: float(p.diameter),
     }
-    # z-score throughputs within (algorithm, model, device) groups.
-    groups: Dict[Tuple, List[int]] = {}
-    runs = results.runs
-    for idx, run in enumerate(runs):
-        groups.setdefault(
-            (run.spec.algorithm, run.spec.model, run.device), []
-        ).append(idx)
-    z = np.zeros(len(runs))
-    log_thr = np.log(np.array([r.throughput_ges for r in runs]))
-    for idxs in groups.values():
+    # z-score throughputs within (algorithm, model, device) groups, each
+    # group's values in run order.
+    view = results.columns()
+    group = view.labels("algorithm", "model", "device")
+    z = np.zeros(len(view))
+    log_thr = np.log(view.throughput)
+    for label in np.unique(group):
+        idxs = np.flatnonzero(group == label)
         vals = log_thr[idxs]
         std = vals.std()
         z[idxs] = (vals - vals.mean()) / (std if std > 0 else 1.0)
 
+    # Each property of each graph once; a run reads its graph's value.
+    by_graph = {
+        prop_name: np.array(
+            [getter(properties[name]) for name in view.names["graph"]]
+        )
+        for prop_name, getter in prop_fields.items()
+    }
     out: Dict[Tuple[str, str], float] = {}
     for axis, opt in styles:
-        mask = np.array(
-            [run.spec.axis_value(axis) is opt for run in runs], dtype=bool
-        )
+        code = view.code(axis, opt)
+        if code is None:
+            continue
+        mask = view.codes[axis] == code
         if not mask.any():
             continue
         sel_z = z[mask]
-        for prop_name, getter in prop_fields.items():
-            pvals = np.array(
-                [getter(properties[runs[i].graph]) for i in np.flatnonzero(mask)]
-            )
+        graphs = view.codes["graph"][mask]
+        for prop_name, values in by_graph.items():
+            pvals = values[graphs]
             if pvals.std() == 0 or sel_z.std() == 0:
                 continue
             r = float(np.corrcoef(pvals, sel_z)[0, 1])

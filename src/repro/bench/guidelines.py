@@ -19,6 +19,7 @@ from ..styles.axes import (
     CppSchedule,
     CpuReduction,
     Determinism,
+    Dup,
     Flow,
     Granularity,
     Model,
@@ -27,7 +28,7 @@ from ..styles.axes import (
     Update,
 )
 from .harness import StudyResults
-from .ratios import axis_ratios, throughputs_by_option
+from .ratios import axis_ratios, driver_ratios, throughputs_by_option
 
 __all__ = ["Guideline", "derive_guidelines"]
 
@@ -179,19 +180,8 @@ def derive_guidelines(results: StudyResults) -> List[Guideline]:
     )
 
     # 7. C++ prefers the topology-driven style.
-    from ..styles.axes import Driver, Dup
-
-    cpp_topo: List[float] = []
-    for run in results.select(models=[Model.CPP_THREADS]):
-        if run.spec.driver is not Driver.TOPOLOGY or run.spec.flow is Flow.PULL:
-            continue
-        partner = results.get(
-            run.spec.with_axis(driver=Driver.DATA, dup=Dup.NODUP),
-            run.device, run.graph,
-        )
-        if partner is not None:
-            cpp_topo.append(run.throughput_ges / partner.throughput_ges)
-    med_cpp_topo = _median(np.asarray(cpp_topo))
+    cpp_topo = driver_ratios(results, Dup.NODUP, models=[Model.CPP_THREADS])
+    med_cpp_topo = _median(np.concatenate([np.empty(0), *cpp_topo.values()]))
     out.append(
         Guideline(
             "C++ threads prefer the topology-driven style (the worklist "

@@ -12,7 +12,7 @@ full sweep is minutes, not hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -26,7 +26,10 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .comparison import SpeedupCell
     from .predictor import PredictionSummary
     from .tracestore import TraceStore
 
@@ -37,13 +40,14 @@ from ..machine.specs import CPUSpec, GPUSpec
 from ..runtime.budget import ResourceBudget
 from ..runtime.errors import FailedRun
 from ..runtime.launcher import Launcher, RunResult
-from ..styles.axes import Algorithm, Model
+from ..styles.axes import AXIS_FIELDS, Algorithm, Model
 from ..styles.combos import enumerate_specs
 from ..styles.spec import StyleSpec
 
 __all__ = [
     "PredictSettings",
     "SweepConfig",
+    "StudyColumns",
     "StudyResults",
     "block_grid",
     "run_sweep",
@@ -129,6 +133,177 @@ class SweepConfig:
         return resolve_trace_store(enabled=self.trace_cache) or False
 
 
+#: The StyleSpec fields in declaration order, each with its option enum.
+SPEC_FIELDS: Dict[str, type] = {
+    f.name: {"algorithm": Algorithm, "model": Model, **AXIS_FIELDS}[f.name]
+    for f in fields(StyleSpec)
+}
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class StudyColumns:
+    """Whole-array view of a study's runs, for the analysis layer.
+
+    One row per run, in run order:
+
+    * ``codes[name]`` — a ``uint8`` code per run for each StyleSpec field
+      (0 for ``None``, an axis that does not apply; else the option's
+      position in its enum plus one), and ``int32`` codes into
+      ``names["device"]`` and ``names["graph"]``;
+    * ``throughput`` — ``throughput_ges`` as ``float64``;
+    * ``key`` — one mixed-radix ``int64`` per (spec, device, graph) cell,
+      with ``weights[name]`` the place value of each column.  A field's
+      radix is its enum size plus one (never the options present), so
+      the partner of row ``i`` under "axis X: a -> b" is the cell
+      ``key[i] + (code(b) - code(a)) * weights[X]``, found by
+      :meth:`partners` with a binary search over the stably sorted keys.
+
+    A duplicated cell resolves to its last-added run, as
+    :meth:`StudyResults.get` does.  ``baseline_cells`` holds the Figure
+    16 speedup cells per baseline source (see
+    :func:`repro.bench.comparison.baseline_speedups`), so Table 6 and
+    Figure 16 share them.  :meth:`StudyResults.columns` builds the view
+    on first use and again after :meth:`StudyResults.add`.
+    """
+
+    def __init__(self, runs: Sequence[RunResult]) -> None:
+        spec_at: Dict[StyleSpec, int] = {}
+        device_at: Dict[str, int] = {}
+        graph_at: Dict[str, int] = {}
+        spec_rows = np.array(
+            [spec_at.setdefault(run.spec, len(spec_at)) for run in runs],
+            dtype=np.intp,
+        )
+        # Codes of each distinct spec once, then one gather per field.
+        spec_codes = np.array(
+            [
+                [_FIELD_CODES[name][getattr(spec, name)] for name in SPEC_FIELDS]
+                for spec in spec_at
+            ],
+            dtype=np.uint8,
+        ).reshape(len(spec_at), len(SPEC_FIELDS))
+        self.codes: Dict[str, np.ndarray] = {
+            name: spec_codes[spec_rows, j] for j, name in enumerate(SPEC_FIELDS)
+        }
+        self.codes["device"] = np.array(
+            [device_at.setdefault(run.device, len(device_at)) for run in runs],
+            dtype=np.int32,
+        )
+        self.codes["graph"] = np.array(
+            [graph_at.setdefault(run.graph, len(graph_at)) for run in runs],
+            dtype=np.int32,
+        )
+        self.names: Dict[str, List[str]] = {
+            "device": list(device_at), "graph": list(graph_at),
+        }
+        self._code_of = {**_FIELD_CODES, "device": device_at, "graph": graph_at}
+        self.throughput = np.array(
+            [run.throughput_ges for run in runs], dtype=np.float64
+        )
+        self._radix = {name: len(enum) + 1 for name, enum in SPEC_FIELDS.items()}
+        self._radix["device"] = max(len(device_at), 1)
+        self._radix["graph"] = max(len(graph_at), 1)
+        # Place values, least significant last.
+        self.weights: Dict[str, int] = {}
+        place = 1
+        for name in reversed(list(self._radix)):
+            self.weights[name] = place
+            place *= self._radix[name]
+        if place - 1 > _INT64_MAX:
+            raise OverflowError(
+                f"a cell key needs {place.bit_length()} bits; int64 holds 63"
+            )
+        self.key = self.labels(*self._radix)
+        self._order = np.argsort(self.key, kind="stable")
+        self._sorted_key = self.key[self._order]
+        #: source -> (the graphs they were computed on, the cells).
+        self.baseline_cells: Dict[Optional[int], Tuple[tuple, List["SpeedupCell"]]] = {}
+
+    def __len__(self) -> int:
+        return self.throughput.size
+
+    def code(self, name: str, value) -> Optional[int]:
+        """The code of ``value`` in column ``name`` (0 for a ``None``
+        option), or ``None`` when it is not a value of that column."""
+        return self._code_of[name].get(value)
+
+    def labels(self, *names: str) -> np.ndarray:
+        """One ``int64`` per run, equal for two runs exactly when they
+        agree on every named column (mixed radix, so it cannot wrap)."""
+        label = np.zeros(len(self), dtype=np.int64)
+        for name in names:
+            label = label * self._radix[name] + self.codes[name]
+        return label
+
+    def rows(
+        self,
+        *,
+        algorithms: Optional[Iterable[Algorithm]] = None,
+        models: Optional[Iterable[Model]] = None,
+        devices: Optional[Iterable[str]] = None,
+        graphs: Optional[Iterable[str]] = None,
+    ) -> np.ndarray:
+        """Positions of the runs matching all provided filters (in run
+        order), as :meth:`StudyResults.select` yields them."""
+        mask = np.ones(len(self), dtype=bool)
+        for name, wanted in (
+            ("algorithm", algorithms),
+            ("model", models),
+            ("device", devices),
+            ("graph", graphs),
+        ):
+            if wanted is None:
+                continue
+            table = np.zeros(self._radix[name], dtype=bool)
+            codes = [self.code(name, value) for value in wanted]
+            table[[code for code in codes if code is not None]] = True
+            mask &= table[self.codes[name]]
+        return np.flatnonzero(mask)
+
+    def partners(self, rows: np.ndarray, changes: Dict[str, object]) -> np.ndarray:
+        """For each of ``rows``, the row of the cell whose spec differs
+        only in the fields of ``changes`` (set to the given options), on
+        the same device and graph; -1 where no run holds that cell."""
+        target = self.key[rows]
+        for name, option in changes.items():
+            code = self.code(name, option)
+            if code is None:
+                return np.full(rows.size, -1, dtype=np.intp)
+            target = target + (
+                code - self.codes[name][rows].astype(np.int64)
+            ) * self.weights[name]
+        if not len(self):
+            return np.full(rows.size, -1, dtype=np.intp)
+        pos = np.searchsorted(self._sorted_key, target, side="right") - 1
+        # The last of equal keys is the last-added run.  A target below
+        # every key gets pos -1, which reads the largest key: no match.
+        return np.where(self._sorted_key[pos] == target, self._order[pos], -1)
+
+    def group(
+        self, name: str, rows: np.ndarray, values: np.ndarray
+    ) -> Dict[object, np.ndarray]:
+        """``values`` (one per row) grouped by the rows' option on field
+        ``name``: options in first-appearance order, values in row order."""
+        codes = self.codes[name][rows]
+        _, first = np.unique(codes, return_index=True)
+        return {
+            _OPTIONS[name][code]: values[codes == code]
+            for code in codes[np.sort(first)]
+        }
+
+
+#: Field name -> options by code (index 0 is ``None``).
+_OPTIONS: Dict[str, Tuple[object, ...]] = {
+    name: (None, *enum) for name, enum in SPEC_FIELDS.items()
+}
+#: Field name -> option -> code (see :class:`StudyColumns`).
+_FIELD_CODES: Dict[str, Dict[object, int]] = {
+    name: {option: code for code, option in enumerate(options)}
+    for name, options in _OPTIONS.items()
+}
+
+
 @dataclass
 class StudyResults:
     """All runs of a sweep, with lookup indices for the analysis layer."""
@@ -160,6 +335,10 @@ class StudyResults:
     _by_model: Dict[Model, List[int]] = field(default_factory=dict, repr=False)
     _by_device: Dict[str, List[int]] = field(default_factory=dict, repr=False)
     _by_graph: Dict[str, List[int]] = field(default_factory=dict, repr=False)
+    #: The derived column view (see :meth:`columns`); never pickled.
+    _columns: Optional[StudyColumns] = field(
+        default=None, repr=False, compare=False
+    )
 
     def add(self, run: RunResult) -> None:
         position = len(self.runs)
@@ -169,6 +348,24 @@ class StudyResults:
         self._by_model.setdefault(run.spec.model, []).append(position)
         self._by_device.setdefault(run.device, []).append(position)
         self._by_graph.setdefault(run.graph, []).append(position)
+
+    def columns(self) -> StudyColumns:
+        """The runs as a :class:`StudyColumns` view: built on first use
+        and shared by every figure until the next :meth:`add`.
+
+        Runs only ever grow, through :meth:`add`, so a view covering
+        fewer runs than there are is stale and is rebuilt; ``add``
+        itself does no extra work.
+        """
+        view = self._columns
+        if view is None or len(view) != len(self.runs):
+            view = self._columns = StudyColumns(self.runs)
+        return view
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state["_columns"] = None
+        return state
 
     def get(
         self, spec: StyleSpec, device: str, graph: str

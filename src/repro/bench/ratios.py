@@ -6,18 +6,32 @@ using option A of an axis, the partner run is the one whose spec differs
 *only* in that axis (same algorithm, model, device, input, and every other
 style); the ratio is ``throughput_A / throughput_B``.  A ratio above 1.0
 means the first-named style is faster.
+
+Everything here reads the results' column view
+(:class:`repro.bench.harness.StudyColumns`): a filter mask over the
+style codes, one vectorized partner lookup of the cell keys, and the
+throughput columns divided.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from ..styles.axes import Algorithm, Model
-from .harness import StudyResults
+from ..styles.axes import Algorithm, Driver, Dup, Flow, Model
+from .harness import SPEC_FIELDS, StudyColumns, StudyResults
 
-__all__ = ["axis_ratios", "ratios_by_algorithm", "throughputs_by_option"]
+__all__ = [
+    "axis_ratios",
+    "driver_ratios",
+    "ratios_by_algorithm",
+    "throughputs_by_option",
+]
+
+#: The axes a ratio may vary: every StyleSpec field but the algorithm
+#: and the model.
+PAIR_AXES = tuple(name for name in SPEC_FIELDS if name not in ("algorithm", "model"))
 
 
 def axis_ratios(
@@ -36,9 +50,7 @@ def axis_ratios(
         results, axis, option_a, option_b,
         algorithms=algorithms, models=models, devices=devices, graphs=graphs,
     )
-    if not grouped:
-        return np.empty(0)
-    return np.concatenate(list(grouped.values()))
+    return np.concatenate([np.empty(0), *grouped.values()])
 
 
 def ratios_by_algorithm(
@@ -52,28 +64,54 @@ def ratios_by_algorithm(
     devices: Optional[Iterable[str]] = None,
     graphs: Optional[Iterable[str]] = None,
 ) -> Dict[Algorithm, np.ndarray]:
-    """Pairwise ratios grouped per algorithm (the paper's figure layout)."""
-    from dataclasses import fields
+    """Pairwise ratios grouped per algorithm (the paper's figure layout).
 
-    from ..styles.spec import StyleSpec
-
-    valid_axes = {f.name for f in fields(StyleSpec)} - {"algorithm", "model"}
-    if axis not in valid_axes:
-        raise KeyError(f"unknown style axis {axis!r}; known: {sorted(valid_axes)}")
-    out: Dict[Algorithm, List[float]] = {}
-    for run in results.select(
+    Algorithms appear in first-run order and each one's ratios in run
+    order; a run whose partner cell holds no run is skipped.
+    """
+    if axis not in PAIR_AXES:
+        raise KeyError(f"unknown style axis {axis!r}; known: {sorted(PAIR_AXES)}")
+    view = results.columns()
+    rows = view.rows(
         algorithms=algorithms, models=models, devices=devices, graphs=graphs
-    ):
-        if run.spec.axis_value(axis) is not option_a:
-            continue
-        partner_spec = run.spec.with_axis(**{axis: option_b})
-        partner = results.get(partner_spec, run.device, run.graph)
-        if partner is None:
-            continue  # the B option does not exist for this combination
-        out.setdefault(run.spec.algorithm, []).append(
-            run.throughput_ges / partner.throughput_ges
-        )
-    return {alg: np.asarray(vals) for alg, vals in out.items()}
+    )
+    code_a = view.code(axis, option_a)
+    if code_a is None:
+        return {}
+    rows = rows[view.codes[axis][rows] == code_a]
+    return _partner_ratios(view, rows, {axis: option_b})
+
+
+def driver_ratios(
+    results: StudyResults,
+    dup: Dup,
+    *,
+    models: Optional[Iterable[Model]] = None,
+) -> Dict[Algorithm, np.ndarray]:
+    """Topology-driven over data-driven ratios (Figures 3/4, guideline 7).
+
+    Every topology-driven run that is not pull-based is paired with the
+    data-driven variant with ``dup`` duplicates and every other style
+    fixed; grouped as :func:`ratios_by_algorithm` groups.
+    """
+    view = results.columns()
+    rows = view.rows(models=models)
+    topology = view.codes["driver"][rows] == view.code("driver", Driver.TOPOLOGY)
+    not_pull = view.codes["flow"][rows] != view.code("flow", Flow.PULL)
+    return _partner_ratios(
+        view, rows[topology & not_pull], {"driver": Driver.DATA, "dup": dup}
+    )
+
+
+def _partner_ratios(
+    view: StudyColumns, rows: np.ndarray, changes: Dict[str, object]
+) -> Dict[Algorithm, np.ndarray]:
+    """Each row's throughput over its partner's under ``changes``."""
+    partners = view.partners(rows, changes)
+    found = partners >= 0
+    rows = rows[found]
+    ratios = view.throughput[rows] / view.throughput[partners[found]]
+    return view.group("algorithm", rows, ratios)
 
 
 def throughputs_by_option(
@@ -86,13 +124,13 @@ def throughputs_by_option(
     graphs: Optional[Iterable[str]] = None,
 ) -> Dict[object, np.ndarray]:
     """Raw throughputs grouped by an axis's option (for the three-way
-    comparisons of Figures 9-11, where ratios would be unwieldy)."""
-    out: Dict[object, List[float]] = {}
-    for run in results.select(
+    comparisons of Figures 9-11, where ratios would be unwieldy).
+
+    Options appear in first-run order, each one's throughputs in run
+    order; runs the axis does not apply to are left out."""
+    view = results.columns()
+    rows = view.rows(
         algorithms=algorithms, models=models, devices=devices, graphs=graphs
-    ):
-        option = run.spec.axis_value(axis)
-        if option is None:
-            continue
-        out.setdefault(option, []).append(run.throughput_ges)
-    return {opt: np.asarray(vals) for opt, vals in out.items()}
+    )
+    rows = rows[view.codes[axis][rows] != 0]
+    return view.group(axis, rows, view.throughput[rows])

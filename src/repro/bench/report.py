@@ -23,7 +23,6 @@ from ..styles.axes import (
     CppSchedule,
     Determinism,
     Dup,
-    Driver,
     Flow,
     Iteration,
     Model,
@@ -40,7 +39,7 @@ from .analysis import (
 from .boxen import letter_values
 from .comparison import baseline_speedups, table6
 from .harness import StudyResults
-from .ratios import ratios_by_algorithm, throughputs_by_option
+from .ratios import driver_ratios, ratios_by_algorithm, throughputs_by_option
 
 __all__ = [
     "render_table1",
@@ -276,20 +275,7 @@ def render_driver_figure(
     results: StudyResults, dup: Dup, model: Model
 ) -> str:
     """Figures 3/4: topology-driven over data-driven (with/without dups)."""
-    out: Dict[Algorithm, List[float]] = {}
-    for run in results.select(models=[model]):
-        if run.spec.driver is not Driver.TOPOLOGY or run.spec.flow is Flow.PULL:
-            continue
-        try:
-            partner_spec = run.spec.with_axis(driver=Driver.DATA, dup=dup)
-        except TypeError:  # pragma: no cover
-            continue
-        partner = results.get(partner_spec, run.device, run.graph)
-        if partner is None:
-            continue
-        out.setdefault(run.spec.algorithm, []).append(
-            run.throughput_ges / partner.throughput_ges
-        )
+    out = driver_ratios(results, dup, models=[model])
     which = "with" if dup is Dup.DUP else "without"
     fig = "3" if dup is Dup.DUP else "4"
     lines = [

@@ -212,6 +212,34 @@ def test_uncovered_cell_measures_exhaustively(training_set, monkeypatch):
     assert results.runs == run_sweep(_gate_config()).runs
 
 
+def test_backfilled_rows_are_in_the_column_view(artifact, monkeypatch):
+    from repro.bench.ratios import ratios_by_algorithm
+    from repro.styles import Granularity
+
+    from . import ratio_oracle
+
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    pruned = run_sweep(
+        _gate_config(PredictSettings(top_k=4, model_path=str(artifact)))
+    )
+    predicted = np.array([run.predicted for run in pruned.runs])
+    assert predicted.any() and not predicted.all()
+    view = pruned.columns()
+    assert len(view) == len(pruned.runs)
+    assert np.array_equal(
+        view.throughput, [run.throughput_ges for run in pruned.runs]
+    )
+    # Back-filled rows pair with measured ones exactly as the runs do.
+    args = ("granularity", Granularity.WARP, Granularity.THREAD)
+    got = ratios_by_algorithm(pruned, *args)
+    want = ratio_oracle.ratios_by_algorithm(pruned, *args)
+    assert list(got) == list(want) == [Algorithm.SSSP]
+    assert np.array_equal(got[Algorithm.SSSP], want[Algorithm.SSSP])
+    assert got[Algorithm.SSSP].size == np.count_nonzero(
+        view.codes["granularity"] == view.code("granularity", Granularity.WARP)
+    )
+
+
 def test_predict_settings_join_the_sweep_cache_key(artifact):
     base = _gate_config()
     keys = {

@@ -14,13 +14,12 @@ import time
 import numpy as np
 
 from repro.bench.harness import SweepConfig, run_sweep
-from repro.bench.ratios import ratios_by_algorithm, throughputs_by_option
+from repro.bench.ratios import driver_ratios, ratios_by_algorithm, throughputs_by_option
 from repro.styles import (
     Algorithm,
     AtomicFlavor,
     CppSchedule,
     Determinism,
-    Driver,
     Dup,
     Flow,
     Granularity,
@@ -84,18 +83,8 @@ def main():
     print("\n== Figs 3/4: topo/data (GPU<1, OMP<1 exc MIS, C++>1)")
     for dup in (Dup.DUP, Dup.NODUP):
         for label, models in [("CUDA", [Model.CUDA]), ("OMP", [Model.OPENMP]), ("CPP", [Model.CPP_THREADS])]:
-            vals = {}
-            for run in res.select(models=models):
-                if run.spec.driver is not Driver.TOPOLOGY or run.spec.flow is Flow.PULL:
-                    continue
-                try:
-                    part_spec = run.spec.with_axis(driver=Driver.DATA, dup=dup)
-                except Exception:
-                    continue
-                p = res.get(part_spec, run.device, run.graph)
-                if p:
-                    vals.setdefault(run.spec.algorithm.value, []).append(run.throughput_ges / p.throughput_ges)
-            print(f"  {dup.value:5s} {label}:", {k: round(med(v), 2) for k, v in vals.items()})
+            by = driver_ratios(res, dup, models=models)
+            print(f"  {dup.value:5s} {label}:", {a.value: round(med(v), 2) for a, v in by.items()})
 
     print("\n== Fig 5: push/pull (>1 except PR ~slightly<1)")
     for label, models in [("CUDA", [Model.CUDA]), ("OMP", [Model.OPENMP]), ("CPP", [Model.CPP_THREADS])]:

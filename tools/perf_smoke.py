@@ -29,7 +29,10 @@ path; the vectorized path must be bit-identical and beat the scalar loop
 by at least ``--min-matrix-speedup``.  A warm tiny full sweep must time
 each (algorithm, graph) block with at most one
 ``time_trace_batch`` call per device — a count, so a return to
-per-trace timing fails on any runner.  A worker-scaling curve of the parallel sweep
+per-trace timing fails on any runner.  Rendering every table, figure
+and guideline over that sweep must build the results' column view once,
+call ``StyleSpec.with_axis`` never and build each baseline trace once
+per (model, algorithm, graph) — counts again.  A worker-scaling curve of the parallel sweep
 (``--scaling-workers``) is recorded alongside, ungated — CI runners have
 too few cores for a meaningful gate.
 
@@ -146,6 +149,83 @@ def sweep_batch_calls() -> dict:
         "cells_timed": sum(cells),
         "runs": len(warm.runs),
         "kernel_executions": warm.kernel_executions,
+    }, warm
+
+
+def render_all(results) -> None:
+    """Every table, figure and guideline that reads a sweep, as
+    ``repro table``/``repro figure``/``repro guidelines`` render them."""
+    from repro.bench import guidelines, report
+    from repro.graph.properties import analyze
+    from repro.styles import Dup, Model
+
+    props = {name: analyze(g) for name, g in results.graphs.items()}
+    report.render_table4(props)
+    report.render_table5(props)
+    report.render_table6(results)
+    for figure in report.FIGURE_AXES:
+        report.render_ratio_figure(results, figure)
+    for dup in Dup:
+        for model in Model:
+            report.render_driver_figure(results, dup, model)
+    for axis, models in (
+        ("granularity", [Model.CUDA]),
+        ("gpu_reduction", [Model.CUDA]),
+        ("cpu_reduction", [Model.OPENMP, Model.CPP_THREADS]),
+    ):
+        report.render_throughput_figure(results, axis, title=axis, models=models)
+    report.render_figure14(results)
+    report.render_figure15(results)
+    report.render_correlations(results)
+    report.render_figure16(results)
+    guidelines.derive_guidelines(results)
+
+
+def report_counts(results) -> dict:
+    """Count the report's costly steps while rendering everything.
+
+    Wraps ``StyleSpec.with_axis`` (the per-run partner search the column
+    view replaced), ``StudyColumns`` construction and the baseline trace
+    builds of Table 6 and Figure 16, keyed by (model, algorithm, graph).
+    """
+    from collections import Counter
+
+    from repro.bench import comparison, harness
+    from repro.styles import StyleSpec
+
+    counts = Counter()
+    baselines = Counter()
+    real_with_axis = StyleSpec.with_axis
+    real_init = harness.StudyColumns.__init__
+    real_baseline = comparison.baseline_trace
+
+    def with_axis(self, **changes):
+        counts["with_axis"] += 1
+        return real_with_axis(self, **changes)
+
+    def init(self, runs):
+        counts["view_builds"] += 1
+        real_init(self, runs)
+
+    def baseline_trace(algorithm, graph, model, source=0):
+        baselines[(model, algorithm, graph.name)] += 1
+        return real_baseline(algorithm, graph, model, source)
+
+    StyleSpec.with_axis = with_axis
+    harness.StudyColumns.__init__ = init
+    comparison.baseline_trace = baseline_trace
+    try:
+        render_all(results)
+    finally:
+        StyleSpec.with_axis = real_with_axis
+        harness.StudyColumns.__init__ = real_init
+        comparison.baseline_trace = real_baseline
+    return {
+        "with_axis_calls": counts["with_axis"],
+        "view_builds": counts["view_builds"],
+        "baseline_traces": sum(baselines.values()),
+        "baseline_instances": len(baselines),
+        "max_builds_per_baseline": max(baselines.values(), default=0),
     }
 
 
@@ -214,10 +294,18 @@ def matrix_smoke(args) -> tuple:
           f"speedup {speedup:.2f}x", flush=True)
 
     print("perf smoke: batch calls of a warm tiny full sweep ...", flush=True)
-    calls = sweep_batch_calls()
+    calls, warm = sweep_batch_calls()
     max_calls = calls["blocks"] * calls["devices"]
     print(f"  {calls['batch_calls']} calls for {calls['blocks']} blocks x "
           f"{calls['devices']} devices, {calls['cells_timed']} cells",
+          flush=True)
+
+    print("perf smoke: report counts over the warm tiny sweep ...", flush=True)
+    rendered = report_counts(warm)
+    print(f"  {rendered['with_axis_calls']} with_axis calls, "
+          f"{rendered['view_builds']} view build(s), "
+          f"{rendered['baseline_traces']} baseline traces for "
+          f"{rendered['baseline_instances']} (model, algorithm, graph)",
           flush=True)
 
     print("perf smoke: parallel-sweep worker-scaling curve ...", flush=True)
@@ -267,6 +355,18 @@ def matrix_smoke(args) -> tuple:
             f"timed {calls['cells_timed']} cells for {calls['runs']} runs"
         )
 
+    if rendered["with_axis_calls"] or rendered["view_builds"] != 1:
+        failures.append(
+            f"rendering the report made {rendered['with_axis_calls']} "
+            f"with_axis calls and {rendered['view_builds']} view builds "
+            "(expected 0 and 1)"
+        )
+    if rendered["max_builds_per_baseline"] != 1:
+        failures.append(
+            f"a baseline trace was built {rendered['max_builds_per_baseline']}"
+            " times (expected once per model, algorithm and graph)"
+        )
+
     payload = {
         "benchmark": "warm sweep-block PR x soc-LiveJournal1 (tiny), "
                      "all models/devices: per-spec vs vectorized matrix",
@@ -281,6 +381,7 @@ def matrix_smoke(args) -> tuple:
         ),
         "bit_identical": bit_identical,
         "warm_tiny_sweep": {**calls, "max_batch_calls": max_calls},
+        "warm_tiny_report": rendered,
         "worker_scaling": {
             "config": "BFS+PR x 2 graphs (tiny), trace cache off",
             "cpu_count": cpu_count,
