@@ -11,15 +11,16 @@ pipeline checks end to end:
 
 This subpackage provides three audits on one shared findings model:
 
-* :mod:`repro.analysis.conformance` — a static style-conformance linter
-  over the emitted CUDA / OpenMP / C++ sources plus a manifest
-  cross-check against the style enumeration;
-* :mod:`repro.analysis.ir` + :mod:`repro.analysis.races` +
-  :mod:`repro.analysis.infer` — a structural parse of every emitted
+* :mod:`repro.analysis.ir` + :mod:`repro.analysis.infer` +
+  :mod:`repro.analysis.races` — one structural parse of every emitted
   source into a loop-structured :class:`~repro.analysis.ir.SourceIR`,
-  with a static race detector and a style-inference engine that
-  re-derives all 13 axes from the IR and cross-checks them against both
-  the manifest and the construct linter (``repro analyze --ir``);
+  a style-inference engine that re-derives all 13 axes from it, and a
+  static race detector;
+* :mod:`repro.analysis.conformance` — the style-conformance lint: each
+  axis where the IR-inferred style contradicts the manifest's is a
+  ``CONF-*`` finding (and, under ``repro analyze --ir``, an ``INFER-*``
+  one beside the race findings), plus a manifest cross-check against
+  the style enumeration;
 * :mod:`repro.analysis.sanitizer` — a dynamic trace sanitizer that
   validates :class:`~repro.machine.trace.ExecutionTrace` /
   :class:`~repro.machine.trace.IterationProfile` invariants after a run

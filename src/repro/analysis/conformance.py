@@ -1,13 +1,14 @@
-"""Static style-conformance linter for the generated source suite.
+"""Style conformance for the generated source suite.
 
 For every :class:`~repro.styles.spec.StyleSpec`, the generators emit a
 closed set of constructs (the paper's Listings 1-13).  :func:`lint_source`
-checks that one emitted source contains *exactly* the constructs its axes
-demand — an atomic-min update iff the update axis is ``rmw``, worklist
-machinery iff the driver is ``data`` (plus the atomicMax stamp iff
-``nodup``), ``schedule(dynamic)`` iff the OpenMP schedule axis says so,
-reduction constructs matching the reduction axes, the grid-stride loop
-shape iff persistent, and two-array buffering iff deterministic.
+checks one emitted source against its spec by parsing it into the
+:class:`~repro.analysis.ir.SourceIR` and re-deriving its axes with
+:func:`~repro.analysis.infer.infer_axes`: every carried axis whose IR
+evidence contradicts the declared value — a construct missing where the
+style demands it, or present where the style forbids it — is one
+``CONF-*`` finding (``_CONF_RULES``).  The same verdicts, under their
+``INFER-*`` ids, are what ``lint_suite(ir=True)`` adds.
 
 :func:`lint_suite` additionally cross-checks a generated suite's
 ``MANIFEST.tsv`` against :func:`repro.styles.combos.enumerate_specs`:
@@ -27,32 +28,31 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..codegen.common import file_name
-from ..styles.axes import (
-    AXIS_FIELDS,
-    Algorithm,
-    AtomicFlavor,
-    CppSchedule,
-    CpuReduction,
-    Determinism,
-    Driver,
-    Dup,
-    GpuReduction,
-    Granularity,
-    Model,
-    OmpSchedule,
-    Persistence,
-    Update,
-)
+from ..styles.axes import AXIS_FIELDS, Algorithm, Model
 from ..styles.combos import enumerate_specs
 from ..styles.spec import StyleSpec
 from .findings import Finding, Report
-from .source_model import SourceModel
+from .infer import AXIS_RULES, axis_mismatches, mismatch_findings
+from .ir import parse_source
+from .races import detect_races
 
 __all__ = ["spec_from_label", "lint_source", "lint_suite"]
 
-#: The label-correcting algorithms that share the relaxation engine and
-#: the relaxation code templates (worklists, stamps, atomic-min updates).
-RELAX_ALGORITHMS = frozenset({Algorithm.BFS, Algorithm.SSSP, Algorithm.CC})
+#: axis field -> its CONF-* rule id.  iteration and flow have no CONF
+#: rule: their only static check is the IR pass (INFER-ITERATION/-FLOW).
+_CONF_RULES: Dict[str, str] = {
+    "driver": "CONF-WORKLIST",
+    "dup": "CONF-STAMP",
+    "update": "CONF-UPDATE",
+    "determinism": "CONF-DETERMINISM",
+    "persistence": "CONF-PERSISTENCE",
+    "granularity": "CONF-GRANULARITY",
+    "atomic_flavor": "CONF-CUDA-ATOMIC",
+    "gpu_reduction": "CONF-GPU-REDUCTION",
+    "cpu_reduction": "CONF-CPU-REDUCTION",
+    "omp_schedule": "CONF-OMP-SCHEDULE",
+    "cpp_schedule": "CONF-CPP-SCHEDULE",
+}
 
 #: axis value string -> (StyleSpec field name, enum member).  Axis values
 #: are globally unique and hyphen-free, which is what makes label
@@ -98,360 +98,15 @@ def spec_from_label(label: str) -> StyleSpec:
 # ----------------------------------------------------------------------
 # Per-source linting
 # ----------------------------------------------------------------------
-class _RuleSink:
-    """Collects at most one finding per rule for one source file."""
-
-    def __init__(self, spec: StyleSpec, locus: str):
-        self.spec = spec
-        self.locus = locus
-        self.findings: List[Finding] = []
-
-    def iff(self, rule: str, expected: bool, present: bool, construct: str) -> None:
-        """The construct must be present exactly when the style demands it."""
-        if expected == present:
-            return
-        if expected:
-            message = f"missing {construct} (the style demands it)"
-        else:
-            message = f"unexpected {construct} (the style forbids it)"
-        self.findings.append(
-            Finding.of(rule, spec=self.spec.label(), locus=self.locus, message=message)
-        )
-
-    def constructs(
-        self,
-        rule: str,
-        required: Dict[str, bool],
-        forbidden: Dict[str, bool],
-    ) -> None:
-        """Require/forbid several constructs under one rule id."""
-        missing = [name for name, present in required.items() if not present]
-        unexpected = [name for name, present in forbidden.items() if present]
-        if not missing and not unexpected:
-            return
-        parts = []
-        if missing:
-            parts.append("missing " + ", ".join(missing))
-        if unexpected:
-            parts.append("unexpected " + ", ".join(unexpected))
-        self.findings.append(
-            Finding.of(
-                rule,
-                spec=self.spec.label(),
-                locus=self.locus,
-                message="; ".join(parts),
-            )
-        )
-
-
 def lint_source(spec: StyleSpec, text: str, *, locus: str = "") -> List[Finding]:
     """Lint one emitted source against its spec; returns the findings.
 
-    At most one finding is raised per rule, so a single dropped construct
-    maps to a single, precisely-identified finding.
+    One ``CONF-*`` finding per axis whose IR evidence contradicts the
+    spec, so a single dropped construct maps to a single,
+    precisely-identified finding.
     """
-    src = SourceModel(text)
-    sink = _RuleSink(spec, locus)
-    if spec.model is Model.CUDA:
-        _lint_cuda(spec, src, sink)
-    elif spec.model is Model.OPENMP:
-        _lint_openmp(spec, src, sink)
-    else:
-        _lint_cpp(spec, src, sink)
-    return sink.findings
-
-
-def _lint_cuda(spec: StyleSpec, src: SourceModel, sink: _RuleSink) -> None:
-    alg = spec.algorithm
-    relax = alg in RELAX_ALGORITHMS
-
-    # Update axis (Listing 5): atomic min iff rmw.  Only the relaxation
-    # templates update a shared value array; MIS's status writes and the
-    # reduction algorithms are out of this rule's scope.
-    if relax:
-        sink.iff(
-            "CONF-UPDATE",
-            spec.update is Update.READ_MODIFY_WRITE,
-            src.has_any("atomicMin(&", ".fetch_min("),
-            "atomic min update (atomicMin / fetch_min)",
-        )
-
-    # Atomic flavor (Listing 9).  The value arrays are cuda::atomic<> only
-    # in the relaxation templates; the others just pull in the header.
-    if spec.atomic_flavor is not None:
-        cuda_atomic = spec.atomic_flavor is AtomicFlavor.CUDA_ATOMIC
-        required = {"#include <cuda/atomic>": src.has("#include <cuda/atomic>")}
-        if relax:
-            required["cuda::atomic<> value type"] = src.has("cuda::atomic<")
-        if cuda_atomic:
-            sink.constructs("CONF-CUDA-ATOMIC", required, {})
-        else:
-            sink.constructs("CONF-CUDA-ATOMIC", {}, required)
-
-    # Driver axis (Listings 2/3): worklist machinery iff data-driven.  The
-    # host harness always carries #if DATA_DRIVEN blocks (mentioning
-    # d_wl_next), so the discriminating constructs are the *kernel-side*
-    # worklist read and push.
-    if relax:
-        data = spec.driver is Driver.DATA
-        markers = {
-            "DATA_DRIVEN macro set": src.has("#define DATA_DRIVEN 1"),
-            "worklist item indexing (wl[item])": src.has("wl[item]"),
-            "worklist push (wl_next[slot])": src.has("wl_next[slot]"),
-        }
-        if data:
-            sink.constructs(
-                "CONF-WORKLIST",
-                markers,
-                {"DATA_DRIVEN macro cleared": src.has("#define DATA_DRIVEN 0")},
-            )
-        else:
-            sink.constructs(
-                "CONF-WORKLIST",
-                {"DATA_DRIVEN macro cleared": src.has("#define DATA_DRIVEN 0")},
-                markers,
-            )
-    elif alg is Algorithm.MIS:
-        sink.iff(
-            "CONF-WORKLIST",
-            spec.driver is Driver.DATA,
-            src.has("wl[item]"),
-            "worklist item indexing (wl[item])",
-        )
-
-    # Dup axis (Listing 3b): the atomicMax stamp iff nodup.
-    if relax and spec.driver is Driver.DATA:
-        sink.iff(
-            "CONF-STAMP",
-            spec.dup is Dup.NODUP,
-            src.has("atomicMax(&stat["),
-            "atomicMax duplicate-suppression stamp",
-        )
-
-    # Persistence (Listing 7): grid-stride loop vs single guard.
-    if spec.persistence is not None:
-        persistent = spec.persistence is Persistence.PERSISTENT
-        stride_loop = {"grid-stride item loop": src.has("for (; item <")}
-        guard = {"single item guard": src.has("if (item <")}
-        if persistent:
-            sink.constructs("CONF-PERSISTENCE", stride_loop, guard)
-        else:
-            sink.constructs("CONF-PERSISTENCE", guard, stride_loop)
-
-    # Granularity (Listings 1/8): how the item id derives from gidx.
-    if spec.granularity is not None:
-        markers = {
-            Granularity.THREAD: ("per-thread item (item = gidx)", "item = gidx;"),
-            Granularity.WARP: ("per-warp item (item = gidx / WS)", "item = gidx / WS;"),
-            Granularity.BLOCK: ("per-block item (item = blockIdx.x)", "item = blockIdx.x;"),
-        }
-        required = {}
-        forbidden = {}
-        for gran, (name, token) in markers.items():
-            (required if gran is spec.granularity else forbidden)[name] = src.has(token)
-        sink.constructs("CONF-GRANULARITY", required, forbidden)
-
-    # GPU reduction (Listing 10), PR/TC only.
-    if spec.gpu_reduction is not None:
-        block_add = {"block-local atomicAdd_block": src.has("atomicAdd_block")}
-        shuffle = {
-            "warp-shuffle reduction tree": src.has("__shfl_down_sync")
-            and src.has("warp_reduce"),
-        }
-        red = spec.gpu_reduction
-        if red is GpuReduction.GLOBAL_ADD:
-            sink.constructs("CONF-GPU-REDUCTION", {}, {**block_add, **shuffle})
-        elif red is GpuReduction.BLOCK_ADD:
-            sink.constructs("CONF-GPU-REDUCTION", block_add, shuffle)
-        else:
-            sink.constructs("CONF-GPU-REDUCTION", shuffle, block_add)
-
-    # Determinism (Listing 6): second device buffer iff deterministic.
-    det = spec.determinism is Determinism.DETERMINISTIC
-    if relax:
-        sink.constructs(
-            "CONF-DETERMINISM",
-            {
-                f"DETERMINISTIC macro = {int(det)}": src.has(
-                    f"#define DETERMINISTIC {int(det)}"
-                )
-            },
-            {
-                f"DETERMINISTIC macro = {int(not det)}": src.has(
-                    f"#define DETERMINISTIC {int(not det)}"
-                )
-            },
-        )
-    elif alg is Algorithm.MIS:
-        sink.iff("CONF-DETERMINISM", det, src.has("d_status2"),
-                 "double-buffered status array (d_status2)")
-    elif alg is Algorithm.PR:
-        sink.iff("CONF-DETERMINISM", det, src.has("d_rank2"),
-                 "double-buffered rank array (d_rank2)")
-    # TC is single-pass: the determinism axis implies no buffering construct.
-
-
-def _lint_openmp(spec: StyleSpec, src: SourceModel, sink: _RuleSink) -> None:
-    alg = spec.algorithm
-    relax = alg in RELAX_ALGORITHMS
-    criticals = src.critical_blocks()
-
-    # Update axis: OpenMP has no atomic min, so rmw is a critical section
-    # around the conditional update (Section 5.3.1).
-    if relax:
-        sink.iff(
-            "CONF-UPDATE",
-            spec.update is Update.READ_MODIFY_WRITE,
-            any("new_val" in block for block in criticals),
-            "critical-section min update",
-        )
-
-    # Driver axis: worklist machinery iff data-driven.
-    if relax:
-        data = spec.driver is Driver.DATA
-        sink.constructs(
-            "CONF-WORKLIST",
-            required={
-                "initial_worklist builder": src.has("initial_worklist"),
-                "worklist push buffer (wl_next)": src.has("wl_next"),
-            } if data else {},
-            forbidden={} if data else {
-                "initial_worklist builder": src.has("initial_worklist"),
-                "worklist push buffer (wl_next)": src.has("wl_next"),
-            },
-        )
-    elif alg is Algorithm.MIS:
-        sink.iff(
-            "CONF-WORKLIST",
-            spec.driver is Driver.DATA,
-            src.has("wl[item]"),
-            "worklist item indexing (wl[item])",
-        )
-
-    # Dup axis: the critical stamp (the OpenMP stand-in for atomicMax).
-    if relax and spec.driver is Driver.DATA:
-        sink.iff(
-            "CONF-STAMP",
-            spec.dup is Dup.NODUP,
-            any("stat[" in block for block in criticals),
-            "critical-section duplicate-suppression stamp",
-        )
-
-    # OpenMP schedule axis (Listing 12).
-    sink.iff(
-        "CONF-OMP-SCHEDULE",
-        spec.omp_schedule is OmpSchedule.DYNAMIC,
-        src.has("schedule(dynamic)"),
-        "#pragma omp ... schedule(dynamic)",
-    )
-
-    # CPU reduction axis (Listing 11), PR/TC only.
-    if spec.cpu_reduction is not None:
-        clause = {"reduction(+:) clause": src.has("reduction(+:")}
-        atomic_red = {
-            "atomic-guarded accumulation": any(
-                "+= contribution" in t for t in src.atomic_pragma_targets()
-            )
-        }
-        critical_red = {
-            "critical-guarded accumulation": any(
-                "+= contribution" in block for block in criticals
-            )
-        }
-        red = spec.cpu_reduction
-        if red is CpuReduction.CLAUSE:
-            sink.constructs("CONF-CPU-REDUCTION", clause, {**atomic_red, **critical_red})
-        elif red is CpuReduction.ATOMIC:
-            sink.constructs("CONF-CPU-REDUCTION", atomic_red, {**clause, **critical_red})
-        else:
-            sink.constructs("CONF-CPU-REDUCTION", critical_red, {**clause, **atomic_red})
-
-    # Determinism: second array + swap iff deterministic.
-    _lint_cpu_determinism(spec, src, sink)
-
-
-def _lint_cpp(spec: StyleSpec, src: SourceModel, sink: _RuleSink) -> None:
-    alg = spec.algorithm
-    relax = alg in RELAX_ALGORITHMS
-
-    # Update axis: CAS-loop atomic min call iff rmw (the harness always
-    # defines atomic_min; only rmw styles call it).
-    if relax:
-        sink.iff(
-            "CONF-UPDATE",
-            spec.update is Update.READ_MODIFY_WRITE,
-            src.has("if (atomic_min("),
-            "compare-exchange atomic min update",
-        )
-
-    # Driver axis.
-    if relax:
-        data = spec.driver is Driver.DATA
-        markers = {
-            "initial_worklist builder": src.has("initial_worklist"),
-            "worklist push buffer (wl_next)": src.has("wl_next"),
-        }
-        if data:
-            sink.constructs("CONF-WORKLIST", markers, {})
-        else:
-            sink.constructs("CONF-WORKLIST", {}, markers)
-    elif alg is Algorithm.MIS:
-        sink.iff(
-            "CONF-WORKLIST",
-            spec.driver is Driver.DATA,
-            src.has("wl[item]"),
-            "worklist item indexing (wl[item])",
-        )
-
-    # Dup axis: the exchange stamp.
-    if relax and spec.driver is Driver.DATA:
-        sink.iff(
-            "CONF-STAMP",
-            spec.dup is Dup.NODUP,
-            src.has(".exchange(itr)"),
-            "exchange duplicate-suppression stamp",
-        )
-
-    # C++ schedule axis (Listing 13): blocked contiguous ranges vs the
-    # cyclic round-robin loop (which also appears in fixed helper loops,
-    # so blocked-range variables are the discriminating construct).
-    sink.iff(
-        "CONF-CPP-SCHEDULE",
-        spec.cpp_schedule is CppSchedule.BLOCKED,
-        src.has("beg_it") and src.has("end_it"),
-        "blocked per-thread range (beg_it/end_it)",
-    )
-
-    # CPU reduction axis, PR/TC only.
-    if spec.cpu_reduction is not None:
-        clause = {"per-thread partial (local_acc)": src.has("local_acc")}
-        critical_red = {"mutex-guarded accumulation": src.has("std::lock_guard")}
-        red = spec.cpu_reduction
-        if red is CpuReduction.CLAUSE:
-            sink.constructs("CONF-CPU-REDUCTION", clause, critical_red)
-        elif red is CpuReduction.CRITICAL:
-            sink.constructs("CONF-CPU-REDUCTION", critical_red, clause)
-        else:
-            sink.constructs("CONF-CPU-REDUCTION", {}, {**clause, **critical_red})
-
-    _lint_cpu_determinism(spec, src, sink)
-
-
-def _lint_cpu_determinism(spec: StyleSpec, src: SourceModel, sink: _RuleSink) -> None:
-    """Two-array buffering iff deterministic (shared by OpenMP and C++)."""
-    alg = spec.algorithm
-    det = spec.determinism is Determinism.DETERMINISTIC
-    marker = {
-        Algorithm.BFS: ("double-buffered value array (val_out)", "val_out"),
-        Algorithm.SSSP: ("double-buffered value array (val_out)", "val_out"),
-        Algorithm.CC: ("double-buffered value array (val_out)", "val_out"),
-        Algorithm.MIS: ("double-buffered status array (status_out)", "status_out"),
-        Algorithm.PR: ("double-buffered rank array (rank_out)", "rank_out"),
-    }.get(alg)
-    if marker is None:  # TC: single pass, no buffering construct
-        return
-    name, token = marker
-    sink.iff("CONF-DETERMINISM", det, src.has(token), name)
+    mismatches = axis_mismatches(spec, parse_source(text))
+    return mismatch_findings(spec, mismatches, _CONF_RULES, locus=locus)
 
 
 # ----------------------------------------------------------------------
@@ -466,24 +121,21 @@ def _expected_file_name(spec: StyleSpec, bits: int) -> str:
 
 
 def _analyze_entry(payload: Tuple[str, str, str, bool]) -> List[Finding]:
-    """Worker body: lint (and optionally IR-analyze) one suite source.
+    """Worker body: lint (and optionally race-check) one suite source.
 
     Top-level so it pickles into a worker pool; findings are frozen
-    dataclasses and travel back whole.  The file is read and parsed
-    exactly once — :func:`repro.analysis.ir.parse_source` memoizes on the
-    text, so the conformance pass, the race detector and the inference
-    engine share one parse.
+    dataclasses and travel back whole.  The file is read, parsed and
+    inferred exactly once; the one set of axis mismatches is reported as
+    ``CONF-*`` always and, under ``ir``, as ``INFER-*`` too.
     """
     label, path_str, rel, ir = payload
     spec = spec_from_label(label)
-    text = Path(path_str).read_text()
-    findings = lint_source(spec, text, locus=rel)
+    source = parse_source(Path(path_str).read_text())
+    mismatches = axis_mismatches(spec, source)
+    findings = mismatch_findings(spec, mismatches, _CONF_RULES, locus=rel)
     if ir:
-        from .infer import analyze_source_ir
-
-        findings = findings + analyze_source_ir(
-            spec, text, locus=rel, conf_findings=findings
-        )
+        findings += detect_races(source, spec, locus=rel)
+        findings += mismatch_findings(spec, mismatches, AXIS_RULES, locus=rel)
     return findings
 
 
@@ -502,8 +154,8 @@ def lint_suite(
     full size, or any group under ``strict=True``, must match the
     enumeration exactly.
 
-    ``ir=True`` additionally runs the IR pipeline per file (structural
-    parse, race detection, style inference + three-way differential).
+    ``ir=True`` additionally reports the race detector's RACE-* findings
+    and each axis mismatch under its ``INFER-*`` id.
     ``jobs`` fans the per-file work over a process pool (default: the
     machine's core count; 1 = in-process serial).
     """

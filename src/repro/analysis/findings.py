@@ -39,7 +39,7 @@ class Severity(enum.Enum):
 #: documentation *and* validation: creating a Finding with an unknown rule
 #: id raises, which keeps the docs in docs/analysis.md honest.
 RULES: Dict[str, Tuple[Severity, str]] = {
-    # ---- static style-conformance rules (conformance.py) -------------
+    # ---- static style-conformance rules (conformance.py, from the IR) -
     "CONF-UPDATE": (
         Severity.ERROR,
         "atomic min/RMW update construct present iff the update axis is rmw "
@@ -47,7 +47,7 @@ RULES: Dict[str, Tuple[Severity, str]] = {
     ),
     "CONF-CUDA-ATOMIC": (
         Severity.ERROR,
-        "cuda::atomic include/value types present iff the atomic flavor is "
+        "the <cuda/atomic> include present iff the atomic flavor is "
         "cudaatomic",
     ),
     "CONF-WORKLIST": (
@@ -199,7 +199,7 @@ RULES: Dict[str, Tuple[Severity, str]] = {
         "resolution permits: a monotone conditional improvement store or "
         "a constant-store scatter (benign by construction)",
     ),
-    # ---- IR style-inference differential rules (infer.py) ------------
+    # ---- IR style-inference rules (infer.py) -------------------------
     "INFER-ITERATION": (
         Severity.ERROR,
         "IR-inferred iteration axis (vertex/edge) disagrees with the "
@@ -264,12 +264,6 @@ RULES: Dict[str, Tuple[Severity, str]] = {
         Severity.ERROR,
         "IR-inferred C++ thread schedule axis (blocked/cyclic) disagrees "
         "with the declared style",
-    ),
-    "INFER-DIVERGENCE": (
-        Severity.NOTE,
-        "the three-way differential split: the construct-presence linter "
-        "and the IR inference engine reached different verdicts for the "
-        "same axis (one of the two analyses was fooled)",
     ),
     # ---- dynamic trace-sanitizer rules (sanitizer.py) ----------------
     "SAN-NEG": (

@@ -1,29 +1,34 @@
-"""IR-based style inference and the three-way differential (tentpole b).
+"""IR-based style inference: the one reader of an emitted source's style.
 
 :func:`infer_axes` re-derives a source's 13-axis style from its
-:class:`~repro.analysis.ir.SourceIR` alone — no manifest, no construct
-substrings.  Each axis is read off structural evidence: where writes
-land (flow), through which index maps (iteration/driver), under which
-guards (update), against which buffers (determinism), and how the
-parallel loop is shaped (persistence/granularity/schedules).  Axes the
-(algorithm, model) enumeration pins to a single option are taken as
-pinned; axes it does not carry at all stay ``None``.
+:class:`~repro.analysis.ir.SourceIR` alone — no manifest, no text
+probes.  Each axis is read off structural evidence: where writes land
+(flow), through which index maps (iteration/driver), under which guards
+(update), against which buffers (determinism), and how the parallel
+loop is shaped (persistence/granularity/schedules).  Host-side facts
+vote too: the ``DATA_DRIVEN`` / ``DETERMINISTIC`` macros, the buffers a
+kernel launch binds to its ``*_in`` / ``*_out`` parameters, and the
+shuffle intrinsic inside a ``__device__`` reduction helper.  When the
+pieces of evidence for one axis name different values, the axis reads
+as a :class:`Conflict`, which no declared value equals — so a construct
+that contradicts the style is flagged whether it is missing or extra.
+Axes the (algorithm, model) enumeration pins to a single option are
+taken as pinned; axes it does not carry at all stay ``None``.
 
-:func:`analyze_source_ir` then runs the differential: the inferred axes
-against the manifest's declared spec (one ``INFER-<AXIS>`` error per
-disagreement), and the IR verdict against the construct-presence
-linter's verdict for the same axis (an ``INFER-DIVERGENCE`` note when
-exactly one of the two analyses flags — the signature of an analysis
-being fooled, e.g. by a stale ``#define DETERMINISTIC`` macro).  RACE-*
-findings from :mod:`repro.analysis.races` ride along, making this the
-single entry point behind ``repro analyze --ir``.
+:func:`axis_mismatches` compares the inferred axes against a declared
+spec, and :func:`mismatch_findings` reports that one verdict under a
+rule family: ``INFER-<AXIS>`` here (:data:`AXIS_RULES`), ``CONF-*`` in
+:mod:`repro.analysis.conformance`.  :func:`analyze_source_ir` adds the
+RACE-* findings of :mod:`repro.analysis.races` to the ``INFER-*`` ones,
+making it the per-file entry point behind ``repro analyze --ir``.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..styles.axes import (
     AXIS_FIELDS,
@@ -49,9 +54,16 @@ from .findings import Finding
 from .ir import AccessKind, IndexClass, SourceIR, parse_source
 from .races import detect_races
 
-__all__ = ["infer_axes", "analyze_source_ir", "AXIS_RULES"]
+__all__ = [
+    "Conflict",
+    "infer_axes",
+    "axis_mismatches",
+    "mismatch_findings",
+    "analyze_source_ir",
+    "AXIS_RULES",
+]
 
-#: axis field -> its INFER-* differential rule id.
+#: axis field -> its INFER-* rule id.
 AXIS_RULES: Dict[str, str] = {
     "iteration": "INFER-ITERATION",
     "driver": "INFER-DRIVER",
@@ -66,23 +78,6 @@ AXIS_RULES: Dict[str, str] = {
     "cpu_reduction": "INFER-CPU-REDUCTION",
     "omp_schedule": "INFER-OMP-SCHEDULE",
     "cpp_schedule": "INFER-CPP-SCHEDULE",
-}
-
-#: axis field -> the construct linter's rule for the same axis (for the
-#: three-way differential).  iteration and flow have no CONF rule — the
-#: IR pass is their first static check.
-_CONF_RULES: Dict[str, str] = {
-    "driver": "CONF-WORKLIST",
-    "dup": "CONF-STAMP",
-    "update": "CONF-UPDATE",
-    "determinism": "CONF-DETERMINISM",
-    "persistence": "CONF-PERSISTENCE",
-    "granularity": "CONF-GRANULARITY",
-    "atomic_flavor": "CONF-CUDA-ATOMIC",
-    "gpu_reduction": "CONF-GPU-REDUCTION",
-    "cpu_reduction": "CONF-CPU-REDUCTION",
-    "omp_schedule": "CONF-OMP-SCHEDULE",
-    "cpp_schedule": "CONF-CPP-SCHEDULE",
 }
 
 #: arrays that are bookkeeping, not the algorithm's value plane.
@@ -107,6 +102,32 @@ def _axis_options(
     return {field: tuple(values) for field, values in options.items()}
 
 
+@dataclass(frozen=True)
+class Conflict:
+    """An axis whose pieces of evidence name more than one value, or none.
+
+    Equal to no axis value, so it always disagrees with the declared one.
+    """
+
+    values: Tuple[object, ...]  #: empty when no evidence names a value
+
+    @property
+    def value(self) -> str:
+        return " and ".join(repr(v.value) for v in self.values) or "none"
+
+
+def _agree(*votes):
+    """The one value all evidence votes name (None abstains), else a
+    :class:`Conflict`."""
+    values = tuple(dict.fromkeys(v for v in votes if v is not None))
+    return values[0] if len(values) == 1 else Conflict(values)
+
+
+def _macro_vote(ir: SourceIR, macro: str, on, off):
+    """What a ``#define MACRO 1`` / ``0`` switch says (None if absent)."""
+    return {"1": on, "0": off}.get(ir.defines.get(macro, ""))
+
+
 def _resolve_expr(env: Dict[str, str], expr: str, depth: int = 0) -> str:
     e = expr.strip()
     if depth > 6:
@@ -119,12 +140,27 @@ def _resolve_expr(env: Dict[str, str], expr: str, depth: int = 0) -> str:
 # ----------------------------------------------------------------------
 # Per-axis evidence readers
 # ----------------------------------------------------------------------
-def _infer_driver(ir: SourceIR) -> Driver:
+def _kernel_params(ir: SourceIR) -> Dict[str, Tuple[str, ...]]:
+    return {f.name: f.params for f in ir.functions if f.is_kernel}
+
+
+def _infer_driver(ir: SourceIR):
+    params = _kernel_params(ir)
+    votes = [_macro_vote(ir, "DATA_DRIVEN", Driver.DATA, Driver.TOPOLOGY)]
+    reads_worklist = False
     for region in ir.regions:
+        pushes = False
         for a in region.accesses:
             if a.array == "wl" and a.kind is AccessKind.READ:
-                return Driver.DATA
-    return Driver.TOPOLOGY
+                reads_worklist = True
+            elif a.array == "wl_next" and a.kind is not AccessKind.READ:
+                pushes = True
+        if pushes:
+            votes.append(Driver.DATA)
+        elif "wl_next" in params.get(region.name, ()):
+            votes.append(Driver.TOPOLOGY)  # a push buffer it never pushes to
+    votes.append(Driver.DATA if reads_worklist else Driver.TOPOLOGY)
+    return _agree(*votes)
 
 
 def _infer_iteration(ir: SourceIR) -> Iteration:
@@ -167,57 +203,112 @@ def _infer_update(ir: SourceIR) -> Update:
     return Update.READ_WRITE
 
 
-def _infer_dup(ir: SourceIR) -> Dup:
-    for region in ir.regions:
-        for a in region.accesses:
-            if a.array == "stat" and a.kind is not AccessKind.READ:
-                return Dup.NODUP
-    return Dup.DUP
+def _infer_dup(ir: SourceIR):
+    # A stamp suppresses duplicates only when it is atomic: a plain store
+    # (say, a critical section lost its pragma) is no nodup stamp.
+    stamps = [
+        Dup.DUP if a.kind is AccessKind.WRITE else Dup.NODUP
+        for region in ir.regions
+        for a in region.accesses
+        if a.array == "stat" and a.kind is not AccessKind.READ
+    ]
+    return _agree(*stamps) if stamps else Dup.DUP
 
 
-def _infer_determinism(ir: SourceIR) -> Determinism:
-    for region in ir.regions:
-        for a in region.accesses:
-            if a.array.endswith("_out"):
-                return Determinism.DETERMINISTIC
-    return Determinism.NON_DETERMINISTIC
-
-
-_GRID_STRIDE_RE = re.compile(r"for\s*\(\s*;\s*item\s*<")
-
-
-def _infer_persistence(ir: SourceIR) -> Persistence:
-    for region in ir.regions:
-        for lp in region.loops:
-            if _GRID_STRIDE_RE.match(lp.header):
-                return Persistence.PERSISTENT
-    return Persistence.NON_PERSISTENT
-
-
-def _infer_granularity(ir: SourceIR) -> Granularity:
-    defs = [r.env.get("item", "") for r in ir.regions]
-    if any("/ WS" in d for d in defs):
-        return Granularity.WARP
-    if any(d.strip() == "blockIdx.x" for d in defs):
-        return Granularity.BLOCK
-    return Granularity.THREAD
-
-
-def _infer_atomic_flavor(ir: SourceIR) -> AtomicFlavor:
-    return (
-        AtomicFlavor.CUDA_ATOMIC
-        if ir.has_include("cuda/atomic")
-        else AtomicFlavor.ATOMIC
+def _infer_determinism(ir: SourceIR):
+    writes_out = any(
+        a.array.endswith("_out") for region in ir.regions for a in region.accesses
+    )
+    return _agree(
+        Determinism.DETERMINISTIC if writes_out else Determinism.NON_DETERMINISTIC,
+        _macro_vote(
+            ir, "DETERMINISTIC",
+            Determinism.DETERMINISTIC, Determinism.NON_DETERMINISTIC,
+        ),
+        *_launch_buffer_votes(ir),
     )
 
 
-def _infer_gpu_reduction(ir: SourceIR) -> GpuReduction:
+def _launch_buffer_votes(ir: SourceIR):
+    """One vote per launch-bound ``X_in`` / ``X_out`` kernel parameter
+    pair: double buffered iff the host passes two distinct buffers."""
+    params = _kernel_params(ir)
+    for launch in ir.launches:
+        bound = dict(zip(params.get(launch.kernel, ()), launch.args))
+        for name, buffer in bound.items():
+            if not name.endswith("_out"):
+                continue
+            twin = bound.get(name[: -len("_out")] + "_in")
+            if twin is not None:
+                yield (
+                    Determinism.NON_DETERMINISTIC
+                    if buffer == twin
+                    else Determinism.DETERMINISTIC
+                )
+
+
+_GRID_STRIDE_RE = re.compile(r"for\s*\(\s*;\s*item\s*<")
+_ITEM_GUARD_RE = re.compile(r"\bif\s*\(\s*item\s*<")
+
+
+def _infer_persistence(ir: SourceIR):
+    # A kernel either strides its items over the grid or guards its one
+    # item; a kernel with neither has no persistence evidence at all.
+    strides = any(
+        _GRID_STRIDE_RE.match(lp.header) for r in ir.regions for lp in r.loops
+    )
+    guards = any(_ITEM_GUARD_RE.search(r.body) for r in ir.regions)
+    return _agree(
+        Persistence.PERSISTENT if strides else None,
+        Persistence.NON_PERSISTENT if guards else None,
+    )
+
+
+_ITEM_GRANULARITY = {
+    "gidx": Granularity.THREAD,
+    "gidx / WS": Granularity.WARP,
+    "blockIdx.x": Granularity.BLOCK,
+}
+
+
+def _infer_granularity(ir: SourceIR):
+    # The item id's definition in each kernel (Listings 1/8).
+    return _agree(
+        *(_ITEM_GRANULARITY.get(r.env.get("item", "").strip()) for r in ir.regions)
+    )
+
+
+def _infer_atomic_flavor(ir: SourceIR):
+    def flavor(cuda_atomic: bool) -> AtomicFlavor:
+        return AtomicFlavor.CUDA_ATOMIC if cuda_atomic else AtomicFlavor.ATOMIC
+
+    # The relaxation templates also name their value type VAL_T.
+    value_type = ir.typedefs.get("VAL_T")
+    return _agree(
+        flavor(ir.has_include("cuda/atomic")),
+        None if value_type is None else flavor("cuda::atomic<" in value_type),
+    )
+
+
+def _shuffle_helpers(ir: SourceIR) -> Set[str]:
+    """``__device__`` functions that reach ``__shfl_down_sync``."""
+    device = {f.name: f.calls for f in ir.functions if f.is_device}
+    found = {name for name, calls in device.items() if "__shfl_down_sync" in calls}
+    while True:
+        more = {n for n, calls in device.items() if calls & found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def _infer_gpu_reduction(ir: SourceIR):
     body = ir.region_bodies()
-    if "warp_reduce(" in body:
-        return GpuReduction.REDUCTION_ADD
+    votes = []
+    if any(f"{name}(" in body for name in _shuffle_helpers(ir)):
+        votes.append(GpuReduction.REDUCTION_ADD)
     if "atomicAdd_block" in body:
-        return GpuReduction.BLOCK_ADD
-    return GpuReduction.GLOBAL_ADD
+        votes.append(GpuReduction.BLOCK_ADD)
+    return _agree(*votes) if votes else GpuReduction.GLOBAL_ADD
 
 
 def _infer_cpu_reduction(ir: SourceIR, model: Model) -> CpuReduction:
@@ -258,7 +349,8 @@ def _infer_cpp_schedule(ir: SourceIR) -> CppSchedule:
 def infer_axes(
     algorithm: Algorithm, model: Model, ir: SourceIR
 ) -> Dict[str, Optional[object]]:
-    """Re-derive all 13 axes from the IR (None = axis not carried).
+    """Re-derive all 13 axes from the IR (None = axis not carried, a
+    :class:`Conflict` = its evidence names more than one value).
 
     Only the algorithm and model are taken as given (they name the file's
     template family); every carried axis with more than one legal option
@@ -292,71 +384,54 @@ def infer_axes(
     return inferred
 
 
-def analyze_source_ir(
-    spec: StyleSpec,
-    text: str,
-    *,
-    locus: str = "",
-    conf_findings: Optional[List[Finding]] = None,
-) -> List[Finding]:
-    """All IR-level findings (RACE-* + INFER-*) for one emitted source.
-
-    ``conf_findings`` are the construct linter's findings for the same
-    file; when omitted they are computed here (they feed the three-way
-    differential, they are *not* re-reported).
-    """
-    from .conformance import lint_source  # local: avoid an import cycle
-
-    ir = parse_source(text)
-    findings = detect_races(ir, spec, locus=locus)
-
+def axis_mismatches(spec: StyleSpec, ir: SourceIR) -> Dict[str, object]:
+    """axis field -> the IR verdict, for every carried axis where it
+    contradicts the declared ``spec`` (a value or a :class:`Conflict`)."""
     inferred = infer_axes(spec.algorithm, spec.model, ir)
-    label = spec.label()
-    mismatched: Dict[str, bool] = {}
+    mismatches: Dict[str, object] = {}
     for field in AXIS_FIELDS:
         declared = getattr(spec, field)
-        got = inferred.get(field)
-        if declared is None or got is None:
-            continue
-        mismatched[field] = got != declared
-        if got != declared:
-            findings.append(
-                Finding.of(
-                    AXIS_RULES[field],
-                    spec=label,
-                    locus=locus,
-                    message=(
-                        f"IR infers {field}={got.value!r} but the manifest "
-                        f"declares {declared.value!r}"
-                    ),
-                )
-            )
+        got = inferred[field]
+        if declared is not None and got is not None and got != declared:
+            mismatches[field] = got
+    return mismatches
 
-    if conf_findings is None:
-        conf_findings = lint_source(spec, text, locus=locus)
-    conf_rules = {f.rule for f in conf_findings}
-    for field, ir_flag in mismatched.items():
-        conf_rule = _CONF_RULES.get(field)
-        if conf_rule is None:
+
+def mismatch_findings(
+    spec: StyleSpec,
+    mismatches: Dict[str, object],
+    rules: Dict[str, str],
+    *,
+    locus: str = "",
+) -> List[Finding]:
+    """Report ``mismatches`` under ``rules`` (axis field -> rule id);
+    axes without a rule in the family are skipped."""
+    if not mismatches:
+        return []
+    label = spec.label()
+    findings = []
+    for field, got in mismatches.items():
+        rule = rules.get(field)
+        if rule is None:
             continue
-        lint_flag = conf_rule in conf_rules
-        if lint_flag != ir_flag:
-            who, silent = (
-                ("construct linter", "IR inference")
-                if lint_flag
-                else ("IR inference", "construct linter")
+        declared = getattr(spec, field).value
+        if isinstance(got, Conflict):
+            message = (
+                f"IR evidence for {field} names {got.value}; the "
+                f"manifest declares {declared!r}"
             )
-            findings.append(
-                Finding.of(
-                    "INFER-DIVERGENCE",
-                    spec=label,
-                    locus=locus,
-                    message=(
-                        f"axis {field!r}: the {who} flags this file "
-                        f"({conf_rule if lint_flag else AXIS_RULES[field]}) "
-                        f"but the {silent} does not — one analysis was "
-                        "fooled; inspect the construct"
-                    ),
-                )
+        else:
+            message = (
+                f"IR infers {field}={got.value!r} but the manifest "
+                f"declares {declared!r}"
             )
+        findings.append(Finding.of(rule, spec=label, locus=locus, message=message))
     return findings
+
+
+def analyze_source_ir(spec: StyleSpec, text: str, *, locus: str = "") -> List[Finding]:
+    """All IR-level findings (RACE-* + INFER-*) for one emitted source."""
+    ir = parse_source(text)
+    return detect_races(ir, spec, locus=locus) + mismatch_findings(
+        spec, axis_mismatches(spec, ir), AXIS_RULES, locus=locus
+    )

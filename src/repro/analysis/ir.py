@@ -1,7 +1,8 @@
 """A loop-structured IR for the generated CUDA / OpenMP / C++ sources.
 
-The conformance linter (PR 3) checks construct *presence* by substring;
-this module actually parses the emitted programs.  The pipeline is
+This module is the one reader of the emitted programs: every static
+check of a source (style conformance, style inference, races) runs on
+the :class:`SourceIR` it builds.  The pipeline is
 
 1. a **lexer**, one regex substitution, that blanks comments and
    string/char literals while preserving line numbers,
@@ -17,22 +18,29 @@ this module actually parses the emitted programs.  The pipeline is
    capture with its index expression resolved to node-, edge- or
    neighbor-indirect form.
 
+File-level facts ride along: includes, ``#define`` values, typedefs,
+function signatures (a kernel's parameter names, a ``__device__``
+helper's callees) and the host's kernel launches with their bound
+arguments.
+
 The generators emit a closed construct set (the paper's Listings 1-13),
-so this parser does not need to be a C++ front end — but unlike the
-substring linter it is *structural*: moving an atomic, renaming a buffer
-or re-indexing a worklist changes the IR even when the old substrings
-survive somewhere in the file.  The race detector
+so this parser does not need to be a C++ front end — but it is
+*structural*: moving an atomic, renaming a buffer or re-indexing a
+worklist changes the IR even when the old text survives somewhere in
+the file (in a comment, say).  The race detector
 (:mod:`repro.analysis.races`) and the style-inference engine
-(:mod:`repro.analysis.infer`) both run on this IR.
+(:mod:`repro.analysis.infer`, which the ``CONF-*`` conformance rules of
+:mod:`repro.analysis.conformance` report) both run on this IR.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 __all__ = [
     "AccessKind",
@@ -43,6 +51,7 @@ __all__ = [
     "Loop",
     "ParallelRegion",
     "FunctionInfo",
+    "KernelLaunch",
     "SourceIR",
     "parse_source",
     "strip_comments",
@@ -347,7 +356,7 @@ class ParallelRegion:
     accesses: List[ArrayAccess] = field(default_factory=list)
     env: Dict[str, str] = field(default_factory=dict)
     locals: set = field(default_factory=set)
-    body: str = ""  #: flattened statement text (joined, for construct probes)
+    body: str = ""  #: flattened statement text (joined, for call/guard probes)
 
     def accesses_to(self, array: str) -> List[ArrayAccess]:
         return [a for a in self.accesses if a.array == array]
@@ -359,6 +368,10 @@ class ParallelRegion:
         return list(seen)
 
 
+#: one shared empty callee set (an empty ``frozenset()`` call allocates)
+_NO_CALLS: FrozenSet[str] = frozenset()
+
+
 @dataclass(frozen=True)
 class FunctionInfo:
     """One function definition found at file scope."""
@@ -368,6 +381,23 @@ class FunctionInfo:
     line: int
     is_kernel: bool  #: ``__global__``
     is_device: bool  #: ``__device__``
+    #: a kernel's parameter names in declaration order (what its launches
+    #: bind); empty for other functions
+    params: Tuple[str, ...] = ()
+    #: names the body calls (see ``_block_calls``); collected for
+    #: ``__device__`` functions only, the only functions a kernel can call
+    calls: FrozenSet[str] = _NO_CALLS
+
+
+@dataclass(frozen=True)
+class KernelLaunch:
+    """One host-side ``kernel<<<grid, block>>>(args)`` launch."""
+
+    kernel: str
+    #: the argument expressions, with object-like ``#define`` arguments
+    #: (``RELAX_ARGS``) expanded one level
+    args: Tuple[str, ...]
+    line: int
 
 
 @dataclass
@@ -378,6 +408,7 @@ class SourceIR:
     defines: Dict[str, str]
     typedefs: Dict[str, str]
     functions: List[FunctionInfo]
+    launches: List[KernelLaunch]
     regions: List[ParallelRegion]
     text: str  #: the comment-stripped source
 
@@ -414,6 +445,8 @@ _OPEN_PAREN_END_RE = re.compile(r"\(\s*$")
 _TYPEDEF_RE = re.compile(r"typedef\s+(.+?)\s+(\w+)\s*;")
 _CALL_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*\(")
 _POINTER_PARAM_RE = re.compile(r"[*&]\s*(?:__restrict__\s+)?(\w+)\s*$")
+_PARAM_NAME_RE = re.compile(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$")
+_LAUNCH_RE = re.compile(r"(\w+)\s*<<<.*?>>>\s*\((.*)\)\s*;?\s*$")
 
 #: declaration keywords that precede a variable name
 _TYPE_WORDS = frozenset(
@@ -952,11 +985,15 @@ def _classify_index(
 # ----------------------------------------------------------------------
 def _extract_file_facts(
     root: Block,
-) -> Tuple[List[str], Dict[str, str], Dict[str, str], List[FunctionInfo]]:
+) -> Tuple[
+    List[str], Dict[str, str], Dict[str, str], List[FunctionInfo],
+    List[KernelLaunch],
+]:
     includes: List[str] = []
     defines: Dict[str, str] = {}
     typedefs: Dict[str, str] = {}
     functions: List[FunctionInfo] = []
+    launches: List[Tuple[str, str, int]] = []
 
     def visit(block: Block) -> None:
         for child in block.children:
@@ -974,6 +1011,10 @@ def _extract_file_facts(
                 m = _TYPEDEF_RE.match(child.text)
                 if m:
                     typedefs[m.group(2)] = m.group(1)
+                elif "<<<" in child.text:
+                    m = _LAUNCH_RE.search(child.text)
+                    if m:
+                        launches.append((m.group(1), m.group(2), child.line))
             elif isinstance(child, Block):
                 header = child.header
                 if "(" in header and not header.startswith(
@@ -981,19 +1022,67 @@ def _extract_file_facts(
                 ):
                     name_m = _CALL_NAME_RE.search(header)
                     if name_m:
+                        is_kernel = "__global__" in header
+                        is_device = "__device__" in header
                         functions.append(
                             FunctionInfo(
                                 name=name_m.group(1),
                                 header=header,
                                 line=child.line,
-                                is_kernel="__global__" in header,
-                                is_device="__device__" in header,
+                                is_kernel=is_kernel,
+                                is_device=is_device,
+                                params=_param_names(header) if is_kernel else (),
+                                calls=_block_calls(child) if is_device else _NO_CALLS,
                             )
                         )
                 visit(child)
 
     visit(root)
-    return includes, defines, typedefs, functions
+    return includes, defines, typedefs, functions, [
+        KernelLaunch(kernel=kernel, args=_launch_args(args, defines), line=line)
+        for kernel, args, line in launches
+    ]
+
+
+def _param_names(header: str) -> Tuple[str, ...]:
+    """Parameter names of a function signature, in declaration order
+    (interned, like launch arguments)."""
+    if "(" not in header:
+        return ()
+    params = header[header.index("(") + 1 :].rstrip(") ")
+    names = []
+    for piece in _split_top_level(params):
+        m = _PARAM_NAME_RE.search(piece)
+        if m:
+            names.append(sys.intern(m.group(1)))
+    return tuple(names)
+
+
+def _block_calls(block: Block) -> FrozenSet[str]:
+    """Every name followed by ``(`` anywhere in ``block`` (callees, and
+    control keywords such as ``for``), nested blocks included."""
+    names = set()
+    for child in block.children:
+        if isinstance(child, Stmt):
+            names.update(_CALL_NAME_RE.findall(child.text))
+        elif isinstance(child, Block):
+            names.update(_CALL_NAME_RE.findall(child.header))
+            names |= _block_calls(child)
+    return frozenset(names)
+
+
+def _launch_args(text: str, defines: Dict[str, str]) -> Tuple[str, ...]:
+    """Split a launch's argument list, expanding object-like macro
+    arguments (``RELAX_ARGS``) one level.  Names are interned: the
+    memoized IRs of a suite repeat the same few hundred."""
+    args: List[str] = []
+    for arg in _split_top_level(text):
+        arg = arg.strip()
+        if arg in defines:
+            args.extend(sys.intern(a.strip()) for a in _split_top_level(defines[arg]))
+        elif arg:
+            args.append(sys.intern(arg))
+    return tuple(args)
 
 
 def _kernel_param_arrays(header: str) -> List[str]:
@@ -1105,20 +1194,20 @@ def _collect_regions(root: Block) -> List[ParallelRegion]:
 def parse_source(text: str) -> SourceIR:
     """Parse one emitted source into its :class:`SourceIR`.
 
-    Memoized on the source text: the conformance linter, the race
-    detector and the inference engine all share one parse per file (and
-    repeated ``lint_suite`` calls in one process — e.g. the analyze CI
-    gate plus the analysis tests — reuse it too).
+    Memoized on the source text, so repeated ``lint_suite`` calls in one
+    process — e.g. the analyze CI gate plus the analysis tests — reuse
+    each file's parse.
     """
     stripped = strip_comments(text)
     root = _parse_tree(stripped)
-    includes, defines, typedefs, functions = _extract_file_facts(root)
+    includes, defines, typedefs, functions, launches = _extract_file_facts(root)
     regions = _collect_regions(root)
     return SourceIR(
         includes=includes,
         defines=defines,
         typedefs=typedefs,
         functions=functions,
+        launches=launches,
         regions=regions,
         text=stripped,
     )

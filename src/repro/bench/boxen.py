@@ -69,15 +69,13 @@ def letter_values(data: Sequence[float]) -> LetterValues:
     n = arr.size
     median = float(np.median(arr))
     depth = _trustworthy_depth(n)
-    boxes: List[Tuple[float, float]] = []
-    p = 0.25
-    for _ in range(depth):
-        lo = float(np.quantile(arr, p))
-        hi = float(np.quantile(arr, 1.0 - p))
-        boxes.append((lo, hi))
-        p /= 2.0
-    inner_lo = float(np.quantile(arr, p * 2.0))
-    inner_hi = float(np.quantile(arr, 1.0 - p * 2.0))
+    # Tail probabilities 1/4, 1/8, ... (exact halvings) and their upper
+    # partners, in one quantile call.
+    p = 0.25 / 2.0 ** np.arange(depth)
+    q = np.quantile(arr, np.concatenate([p, 1.0 - p])).tolist()
+    boxes: List[Tuple[float, float]] = list(zip(q[:depth], q[depth:]))
+    # The outlier fences are the deepest box.
+    inner_lo, inner_hi = boxes[-1]
     outliers = tuple(
         float(x) for x in arr[(arr < inner_lo) | (arr > inner_hi)]
     )

@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument(
         "--ir", action="store_true",
-        help="with --suite: also run the IR pipeline per source "
-             "(structural parse, static race detection, 13-axis style "
-             "inference + three-way differential)",
+        help="with --suite: also report static races and each axis "
+             "where the IR-inferred style disagrees with the manifest "
+             "(INFER-*; the CONF-* pass reads the same IR)",
     )
     ana.add_argument(
         "--jobs", type=int, default=None, metavar="N",

@@ -243,13 +243,16 @@ def source_ir(stripped: str, root: Block) -> SourceIR:
         _scan_bracket=_scan_bracket,
         _split_top_level=lambda text: _split_top_level(text, ","),
     ):
-        includes, defines, typedefs, functions = ir._extract_file_facts(root)
+        includes, defines, typedefs, functions, launches = (
+            ir._extract_file_facts(root)
+        )
         regions = ir._collect_regions(root)
     return SourceIR(
         includes=includes,
         defines=defines,
         typedefs=typedefs,
         functions=functions,
+        launches=launches,
         regions=regions,
         text=stripped,
     )

@@ -1,6 +1,7 @@
 """Style-conformance linter: the full suite lints clean, and injected
 codegen mutations produce exactly one finding with the right rule id."""
 
+import collections
 import re
 import shutil
 
@@ -233,3 +234,117 @@ class TestSourceMutations:
         mutated = path.read_text().replace("__shfl_down_sync", "__shfl_down")
         findings = self.lint_path(path, mutated)
         assert [f.rule for f in findings] == ["CONF-GPU-REDUCTION"]
+
+    # Host-side evidence: the driver/determinism macros and the second
+    # device buffer a deterministic kernel launch binds.
+    @staticmethod
+    def replace_once(text, old, new):
+        assert text.count(old) == 1, old
+        return text.replace(old, new)
+
+    def test_clearing_data_driven_macro_is_one_conf_worklist(self, full_suite):
+        path = _first_file(full_suite, "cuda/bfs/*-data-*.cu")
+        mutated = self.replace_once(
+            path.read_text(), "#define DATA_DRIVEN 1", "#define DATA_DRIVEN 0"
+        )
+        findings = self.lint_path(path, mutated)
+        assert [f.rule for f in findings] == ["CONF-WORKLIST"]
+
+    def test_clearing_deterministic_macro_is_one_conf_determinism(
+        self, full_suite
+    ):
+        path = _first_file(full_suite, "cuda/sssp/*-topology-*-det-*.cu")
+        mutated = self.replace_once(
+            path.read_text(), "#define DETERMINISTIC 1", "#define DETERMINISTIC 0"
+        )
+        findings = self.lint_path(path, mutated)
+        assert [f.rule for f in findings] == ["CONF-DETERMINISM"]
+
+    @pytest.mark.parametrize(
+        "pattern, second, first",
+        [
+            ("cuda/mis/*-det-*.cu", "d_status2", "d_status"),
+            ("cuda/pr/*-det-*.cu", "d_rank2", "d_rank"),
+        ],
+    )
+    def test_collapsing_second_device_buffer_is_one_conf_determinism(
+        self, full_suite, pattern, second, first
+    ):
+        path = _first_file(full_suite, pattern)
+        text = path.read_text()
+        assert second in text
+        findings = self.lint_path(path, text.replace(second, first))
+        assert [f.rule for f in findings] == ["CONF-DETERMINISM"]
+
+
+class TestEitherDirection:
+    """A construct contradicts its style whether it is missing where the
+    style demands it or present where the style forbids it."""
+
+    @pytest.mark.parametrize(
+        "pattern, old, new, rule",
+        [
+            # present where the style forbids it
+            ("cuda/bfs/*-topology-*.cu", "#define DATA_DRIVEN 0",
+             "#define DATA_DRIVEN 1", "CONF-WORKLIST"),
+            ("cuda/sssp/*-topology-*-nondet-*.cu", "#define DETERMINISTIC 0",
+             "#define DETERMINISTIC 1", "CONF-DETERMINISM"),
+            ("cuda/pr/*reduction_add*.cu", "auto warp_val = warp_reduce(delta);",
+             "atomicAdd_block(err, delta);\n    "
+             "auto warp_val = warp_reduce(delta);", "CONF-GPU-REDUCTION"),
+            # missing where the style demands it
+            ("cuda/sssp/*-data-*.cu", "wl_next[slot] = k;", ";",
+             "CONF-WORKLIST"),
+            ("openmp/bfs/*-data-nodup-*.cpp",
+             "#pragma omp critical  // the stamp is an atomicMax", "",
+             "CONF-STAMP"),
+            ("cuda/cc/*cudaatomic.cu", "typedef cuda::atomic<val_t> VAL_T;",
+             "typedef val_t VAL_T;", "CONF-CUDA-ATOMIC"),
+        ],
+        ids=[
+            "data-driven-macro-set",
+            "deterministic-macro-set",
+            "block-add-beside-shuffle",
+            "push-dropped",
+            "stamp-unguarded",
+            "value-type-not-cuda-atomic",
+        ],
+    )
+    def test_contradicting_construct_is_one_finding(
+        self, full_suite, pattern, old, new, rule
+    ):
+        path = _first_file(full_suite, pattern)
+        text = path.read_text()
+        assert text.count(old) == 1, old
+        spec = spec_from_label(path.stem)
+        findings = lint_source(spec, text.replace(old, new), locus=path.name)
+        assert [f.rule for f in findings] == [rule]
+
+
+class TestOneParsePerFile:
+    def test_ir_lint_parses_and_infers_each_file_once(
+        self, sampled_suite, monkeypatch
+    ):
+        from repro.analysis import conformance, infer, ir
+
+        calls = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            for mod in (conformance, infer, ir):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+
+        count(ir, "parse_source")
+        count(infer, "infer_axes")
+        report = lint_suite(sampled_suite, ir=True, jobs=1)
+        assert report.checked > 0
+        assert calls == {
+            "parse_source": report.checked,
+            "infer_axes": report.checked,
+        }

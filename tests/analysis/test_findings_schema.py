@@ -53,7 +53,7 @@ EXPECTED_RULES = frozenset(
         "RACE-WL-ALIAS",
         "RACE-REDUCTION",
         "RACE-BENIGN",
-        # IR style inference (one per axis + the differential)
+        # IR style inference (one per axis)
         "INFER-ITERATION",
         "INFER-DRIVER",
         "INFER-DUP",
@@ -67,7 +67,6 @@ EXPECTED_RULES = frozenset(
         "INFER-CPU-REDUCTION",
         "INFER-OMP-SCHEDULE",
         "INFER-CPP-SCHEDULE",
-        "INFER-DIVERGENCE",
         # trace sanitizer
         "SAN-NEG",
         "SAN-INNER-SHAPE",
@@ -92,7 +91,7 @@ class TestRuleCatalog:
 
     def test_registered_default_severities(self):
         notes = {rule for rule, (sev, _d) in RULES.items() if sev is Severity.NOTE}
-        assert notes == {"RACE-BENIGN", "INFER-DIVERGENCE"}
+        assert notes == {"RACE-BENIGN"}
         for rule in EXPECTED_RULES:
             if rule.startswith(("RACE", "INFER")) and rule not in notes:
                 assert RULES[rule][0] is Severity.ERROR, rule

@@ -48,8 +48,7 @@ def full_suite_report(full_suite):
 
 class TestFullSuiteAgreement:
     """The tentpole acceptance criterion: for every file in the full
-    generated suite, IR-inferred style == declared style on all 13 axes,
-    cross-checked against the construct linter (three-way differential)."""
+    generated suite, IR-inferred style == declared style on all 13 axes."""
 
     def test_full_suite_ir_clean(self, full_suite_report):
         report = full_suite_report

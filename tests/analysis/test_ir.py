@@ -13,7 +13,6 @@ from repro.analysis.ir import (
     parse_source,
     strip_comments,
 )
-from repro.analysis.source_model import SourceModel
 from repro.codegen import generate_source
 from repro.styles.axes import Algorithm, Driver, Dup, Model, Update
 from repro.styles.combos import enumerate_specs
@@ -48,24 +47,42 @@ class TestBraceMatching:
         text = "{ a { b } c { d { e } } }"
         assert match_brace_block(text, 0) == len(text)
 
+    @staticmethod
+    def guards(src):
+        (region,) = parse_source(src).regions
+        return {a.array: a.guard for a in region.accesses}
+
     def test_critical_blocks_are_brace_matched(self):
-        # Satellite 1: a critical section containing nested braces must be
-        # returned whole, not truncated at the first closing brace.
+        # A critical section containing nested braces guards every access
+        # up to its own closing brace, not just up to the first "}".
         src = (
-            "#pragma omp critical\n"
-            "{\n"
-            "  if (x) { inner(); }\n"
-            "  tail();\n"
+            "#pragma omp parallel for\n"
+            "for (int v = 0; v < n; v++) {\n"
+            "  #pragma omp critical\n"
+            "  {\n"
+            "    if (x[v]) { inner[v] = 1; }\n"
+            "    tail[v] = 2;\n"
+            "  }\n"
+            "  after[v] = 3;\n"
             "}\n"
         )
-        blocks = SourceModel(src).critical_blocks()
-        assert len(blocks) == 1
-        assert "inner();" in blocks[0] and "tail();" in blocks[0]
+        assert self.guards(src) == {
+            "x": Guard.CRITICAL,
+            "inner": Guard.CRITICAL,
+            "tail": Guard.CRITICAL,
+            "after": Guard.NONE,
+        }
 
     def test_braceless_critical_statement(self):
-        src = "#pragma omp critical\nval[u] = new_val;\nafter();\n"
-        blocks = SourceModel(src).critical_blocks()
-        assert blocks == ["val[u] = new_val;"]
+        src = (
+            "#pragma omp parallel for\n"
+            "for (int v = 0; v < n; v++) {\n"
+            "  #pragma omp critical\n"
+            "  val[v] = new_val;\n"
+            "  after[v] = 1;\n"
+            "}\n"
+        )
+        assert self.guards(src) == {"val": Guard.CRITICAL, "after": Guard.NONE}
 
 
 class TestRegionDiscovery:

@@ -52,3 +52,21 @@ class TestLetterValues:
     def test_describe_is_readable(self):
         text = letter_values([1.0, 2.0, 3.0]).describe()
         assert "median" in text and "n=3" in text
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 10, 11, 37, 500, 4001])
+    def test_matches_one_quantile_call_per_probability(self, n):
+        # The vectorised quantile call must reproduce the per-depth loop
+        # bit for bit, down to the depth-1 case of n < 10.
+        arr = np.sort(np.random.default_rng(n).lognormal(size=n))
+        lv = letter_values(arr)
+        boxes, p = [], 0.25
+        for _ in range(len(lv.boxes)):
+            boxes.append(
+                (float(np.quantile(arr, p)), float(np.quantile(arr, 1.0 - p)))
+            )
+            p /= 2.0
+        assert lv.boxes == tuple(boxes)
+        lo = float(np.quantile(arr, p * 2.0))
+        hi = float(np.quantile(arr, 1.0 - p * 2.0))
+        assert lv.outliers == tuple(float(x) for x in arr[(arr < lo) | (arr > hi)])
+        assert lv.median == float(np.median(arr))
