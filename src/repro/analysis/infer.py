@@ -51,7 +51,7 @@ from ..styles.axes import (
 from ..styles.combos import enumerate_specs
 from ..styles.spec import StyleSpec
 from .findings import Finding
-from .ir import AccessKind, IndexClass, SourceIR, parse_source
+from .ir import AccessKind, Guard, IndexClass, SourceIR, parse_source
 from .races import detect_races
 
 __all__ = [
@@ -326,7 +326,7 @@ def _infer_cpu_reduction(ir: SourceIR, model: Model) -> CpuReduction:
     body = ir.region_bodies()
     if "local_acc" in body:
         return CpuReduction.CLAUSE
-    if "lock_guard" in body:
+    if any(a.guard is Guard.MUTEX for r in ir.regions for a in r.accesses):
         return CpuReduction.CRITICAL
     return CpuReduction.ATOMIC
 

@@ -535,6 +535,11 @@ _WRITE_OP_RE = re.compile(r"\s*(\+\+|(?:[+\-*/|&^])?=(?!=))")
 _INLINE_HEAD_RE = re.compile(r"\s*(?:else\s+)?(for|if|while)\s*\(")
 _BARE_ELSE_RE = re.compile(r"\s*else\b(?!\s+(?:if|for|while)\b)")
 _BRACKET_RE = re.compile(r"[\[\]]")
+#: ``std::lock_guard<...> name(mutex);`` — the one statement that takes
+#: a mutex for the rest of its block
+_LOCK_GUARD_RE = re.compile(
+    r"\s*std::lock_guard\s*<[^;]*>\s*\w+\s*[({]\s*\w+\s*[)}]\s*;?\s*$"
+)
 
 
 def _scan_bracket(text: str, start: int) -> Optional[int]:
@@ -882,7 +887,7 @@ class _RegionBuilder:
             child_guard = pending_guard or (Guard.MUTEX if mutex_held else guard)
             pending_guard = None
             if isinstance(child, Stmt):
-                if "std::lock_guard" in child.text:
+                if _LOCK_GUARD_RE.match(child.text):
                     mutex_held = True
                     self.body_parts.append(child.text)
                     continue

@@ -173,3 +173,22 @@ class TestPlantedMutations:
         )
         errors = errors_of(spec, text)
         assert [f.rule for f in errors] == ["RACE-REDUCTION"]
+
+
+class TestLockFromStructure:
+    """A mutex is taken by a ``std::lock_guard<...> name(mutex)``
+    declaration, not by any statement that mentions ``lock_guard``."""
+
+    @pytest.mark.parametrize("alg", [Algorithm.PR, Algorithm.TC],
+                             ids=lambda a: a.value)
+    def test_renamed_lock_guard_is_not_a_critical_reduction(self, alg):
+        spec = spec_for(alg, Model.CPP_THREADS,
+                        cpu_reduction=CpuReduction.CRITICAL)
+        text = mutate(generate_source(spec), "std::lock_guard",
+                      "std::lock_guardQ")
+        inferred = infer_axes(alg, Model.CPP_THREADS, parse_source(text))
+        assert inferred["cpu_reduction"] is CpuReduction.ATOMIC
+        # The accumulation it guarded is now a plain shared write.
+        assert sorted(f.rule for f in errors_of(spec, text)) == [
+            "INFER-CPU-REDUCTION", "RACE-REDUCTION",
+        ]

@@ -61,13 +61,13 @@ def warm_store(tmp_path, graph, **launcher_kwargs):
 
 
 def sealed(deflated: bytes) -> bytes:
-    """A v2 entry file around ``deflated``, with a matching checksum."""
+    """A v3 entry file around ``deflated``, with a matching checksum."""
     checksum = hashlib.sha256(deflated).hexdigest().encode("ascii")
-    return b"repro-trace-v2 " + checksum + b"\n" + deflated
+    return b"repro-trace-v3 " + checksum + b"\n" + deflated
 
 
 def encode_body(meta: dict, arrays: bytes) -> bytearray:
-    """An inflated v2 body: length-prefixed JSON header, space-padded so
+    """An inflated entry body: length-prefixed JSON header, space-padded so
     ``arrays`` (values, gap, inner) start on a 16-byte boundary."""
     text = json.dumps(meta, sort_keys=True).encode("ascii")
     text += b" " * (-(8 + len(text)) % 16)
@@ -233,6 +233,39 @@ EDGE_CASES = (
 )
 
 
+def one_launch(inner):
+    """A one-launch trace whose ``inner`` trip counts are ``inner``."""
+    return KernelResult(
+        values=np.arange(3, dtype=np.int64),
+        trace=ExecutionTrace(
+            profiles=[IterationProfile(len(inner), inner=inner)]
+        ),
+    )
+
+
+#: (``inner`` trip counts, the dtype an entry stores them in): each
+#: width's boundary on both sides, an empty ``inner``, and a negative
+#: count, which keeps the in-memory ``<i4``.
+INNER_BOUNDARIES = (
+    ([0, 0], "|u1"),
+    ([3, 255], "|u1"),
+    ([256, 0], "<u2"),
+    ([65_535], "<u2"),
+    ([1, 65_536], "<u4"),
+    ([2**31 - 1, 7], "<u4"),
+    ([], "|u1"),
+    ([5, -1, 2**31 - 1], "<i4"),
+)
+
+#: The boundary traces, plus one with no ``inner`` at all.
+NARROWING_CASES = tuple(one_launch(inner) for inner, _ in INNER_BOUNDARIES)
+NARROWING_CASES += (
+    KernelResult(values=np.zeros(2), trace=ExecutionTrace(
+        profiles=[IterationProfile(4), IterationProfile(0)]
+    )),
+)
+
+
 def with_examples(cases):
     def decorate(test):
         for case in cases:
@@ -245,7 +278,7 @@ class TestFormat:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(result=kernel_results())
-    @with_examples(EDGE_CASES)
+    @with_examples(EDGE_CASES + NARROWING_CASES)
     def test_round_trip_is_bit_identical(self, graph, result):
         semantic = SPEC.semantic_key()
         with tempfile.TemporaryDirectory() as directory:
@@ -265,12 +298,31 @@ class TestFormat:
                 assert profile.inner.dtype == np.int32
                 assert profile.inner.flags.writeable
 
+    @pytest.mark.parametrize(
+        "inner, dtype", INNER_BOUNDARIES,
+        ids=[dtype + str(inner) for inner, dtype in INNER_BOUNDARIES],
+    )
+    def test_inner_dtype_is_the_narrowest_that_fits(
+        self, tmp_path, graph, inner, dtype
+    ):
+        result = one_launch(inner)
+        store = TraceStore(tmp_path)
+        entry = store.save(graph, SPEC.semantic_key(), 0, result,
+                           verified=True)
+        body = zlib.decompress(entry.read_bytes().partition(b"\n")[2])
+        (length,) = struct.unpack_from("<Q", body)
+        assert json.loads(body[8:8 + length])["inner_dtype"] == dtype
+        back = store.load(graph, SPEC.semantic_key(), 0)
+        (profile,) = back.trace.profiles
+        assert profile.inner.dtype == np.int32
+        assert profile.inner.tolist() == inner
+
     def test_entry_layout(self, tmp_path, graph):
         store, _, cold = warm_store(tmp_path, graph)
         (entry,) = store._entries()
         header, _, deflated = entry.read_bytes().partition(b"\n")
         magic, checksum = header.split(b" ")
-        assert magic == b"repro-trace-v2"
+        assert magic == b"repro-trace-v3"
         assert checksum == hashlib.sha256(deflated).hexdigest().encode()
         body = zlib.decompress(deflated)
         (length,) = struct.unpack_from("<Q", body)
@@ -279,8 +331,16 @@ class TestFormat:
         meta = json.loads(body[8:offset])
         values = cold.values
         assert body[offset:offset + values.nbytes] == values.tobytes()
-        inner = b"".join(p.inner.tobytes() for p in cold.trace.profiles
-                         if p.inner is not None)
+        # One buffer of every launch's trip counts, in the narrowest
+        # unsigned dtype that holds their maximum.
+        trips = np.concatenate([p.inner for p in cold.trace.profiles
+                                if p.inner is not None])
+        dtype = np.dtype(meta["inner_dtype"])
+        assert dtype.kind == "u" and trips.max() <= np.iinfo(dtype).max
+        if dtype.itemsize > 1:
+            narrower = np.dtype(f"<u{dtype.itemsize // 2}")
+            assert trips.max() > np.iinfo(narrower).max
+        inner = trips.astype(dtype).tobytes()
         assert body.endswith(inner)
         assert len(body) - len(inner) - offset - values.nbytes < 16
         assert meta["values_dtype"] == values.dtype.str
@@ -288,17 +348,21 @@ class TestFormat:
         assert len(meta["profiles"]["has_inner"]) == len(cold.trace.profiles)
 
 
+def scalars(obj, names):
+    values = {name: getattr(obj, name) for name in names}
+    return {name: value.item() if isinstance(value, np.generic) else value
+            for name, value in values.items()}
+
+
+PROFILE_NAMES = [f.name for f in dataclasses.fields(IterationProfile)
+                 if f.name != "inner"]
+TRACE_NAMES = ("n_edges", "n_vertices", "iterations", "converged", "label")
+
+
 def write_v1_entry(path, graph, semantic, source, result):
     """A frozen copy of the numpy-archive (``repro-trace-v1``) writer."""
     from repro.graph.properties import analyze
 
-    def scalars(obj, names):
-        values = {name: getattr(obj, name) for name in names}
-        return {name: value.item() if isinstance(value, np.generic) else value
-                for name, value in values.items()}
-
-    profile_names = [f.name for f in dataclasses.fields(IterationProfile)
-                     if f.name != "inner"]
     trace = result.trace
     meta = {
         "magic": "repro-trace-v1",
@@ -307,10 +371,9 @@ def write_v1_entry(path, graph, semantic, source, result):
         "algorithm": semantic.algorithm.value,
         "graph_properties": analyze(graph).to_dict(),
         "verified": True,
-        "trace": scalars(trace, ("n_edges", "n_vertices", "iterations",
-                                 "converged", "label")),
+        "trace": scalars(trace, TRACE_NAMES),
         "profiles": [
-            dict(scalars(profile, profile_names),
+            dict(scalars(profile, PROFILE_NAMES),
                  has_inner=profile.inner is not None)
             for profile in trace.profiles
         ],
@@ -333,25 +396,53 @@ def write_v1_entry(path, graph, semantic, source, result):
     path.write_bytes(b"repro-trace-v1 " + checksum + b"\n" + body)
 
 
+def write_v2_entry(path, graph, semantic, source, result):
+    """A frozen copy of the flat int32-``inner`` (``repro-trace-v2``)
+    writer: no ``inner_dtype`` in the header, every trip count 4 bytes."""
+    from repro.graph.properties import analyze
+
+    trace = result.trace
+    values = np.asarray(result.values, order="C")
+    columns = {name: [scalars(p, (name,))[name] for p in trace.profiles]
+               for name in PROFILE_NAMES}
+    columns["has_inner"] = [p.inner is not None for p in trace.profiles]
+    meta = {
+        "key": TraceStore.key_payload(graph.fingerprint(), semantic, source),
+        "graph_name": graph.name,
+        "algorithm": semantic.algorithm.value,
+        "graph_properties": analyze(graph).to_dict(),
+        "verified": True,
+        "trace": scalars(trace, TRACE_NAMES),
+        "profiles": columns,
+        "values_dtype": values.dtype.str,
+        "values_shape": list(values.shape),
+    }
+    inner = b"".join(np.ascontiguousarray(p.inner, "<i4").tobytes()
+                     for p in trace.profiles if p.inner is not None)
+    arrays = values.tobytes() + bytes(-values.nbytes % 16) + inner
+    deflated = zlib.compress(bytes(encode_body(meta, arrays)), 6)
+    checksum = hashlib.sha256(deflated).hexdigest().encode("ascii")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"repro-trace-v2 " + checksum + b"\n" + deflated)
+
+
 class TestOldEntries:
-    def test_v1_entry_is_a_quarantined_miss_then_healed(
-        self, tmp_path, graph, capsys
-    ):
+    def quarantined_then_healed(self, tmp_path, graph, capsys, write, magic):
         semantic = SPEC.semantic_key()
         launcher = Launcher()
         source = launcher.source_for(graph)
         cold = launcher.execute_semantic(SPEC, graph)
         store = TraceStore(tmp_path)
         entry = store.entry_path(graph, semantic, source)
-        write_v1_entry(entry, graph, semantic, source, cold)
+        write(entry, graph, semantic, source, cold)
 
         launcher = Launcher(trace_store=TraceStore(tmp_path))
         launcher.run(SPEC, graph, RTX_3090)
         assert launcher.kernel_executions == 1
         assert (tmp_path / "quarantine" / entry.name).read_bytes().startswith(
-            b"repro-trace-v1 "
+            magic + b" "
         )
-        assert entry.read_bytes().startswith(b"repro-trace-v2 ")  # re-stored
+        assert entry.read_bytes().startswith(b"repro-trace-v3 ")  # re-stored
 
         fresh = Launcher(trace_store=TraceStore(tmp_path))
         result = fresh.execute_semantic(SPEC, graph)
@@ -362,6 +453,20 @@ class TestOldEntries:
         assert main(["cache", "gc", "--dir", str(tmp_path)]) == 0
         assert not any((tmp_path / "quarantine").iterdir())
         assert store._entries() == [entry]  # the healed entry stays
+
+    def test_v1_entry_is_a_quarantined_miss_then_healed(
+        self, tmp_path, graph, capsys
+    ):
+        self.quarantined_then_healed(
+            tmp_path, graph, capsys, write_v1_entry, b"repro-trace-v1"
+        )
+
+    def test_v2_entry_is_a_quarantined_miss_then_healed(
+        self, tmp_path, graph, capsys
+    ):
+        self.quarantined_then_healed(
+            tmp_path, graph, capsys, write_v2_entry, b"repro-trace-v2"
+        )
 
     def test_gc_reclaims_unread_v1_entries(self, tmp_path, graph):
         semantic = SPEC.semantic_key()
@@ -499,6 +604,26 @@ class TestCorruption:
 
         self.corrupt_and_load(
             tmp_path, graph, lambda p: rewrite_body(p, overclaim)
+        )
+
+    @pytest.mark.parametrize("claim", ["<f4", "|O", ">u2", ">i4", "<u8"])
+    def test_unsupported_inner_dtype_quarantines(self, tmp_path, graph, claim):
+        def reclaim(body, offset):
+            # Re-encode the inner buffer at the claimed width, so only the
+            # dtype itself is wrong.
+            meta = json.loads(body[8:offset])
+            dtype = np.dtype(meta["values_dtype"])
+            start = offset + dtype.itemsize * int(np.prod(meta["values_shape"]))
+            start += -start % 16
+            columns = meta["profiles"]
+            trips = sum(n for n, has in zip(columns["n_items"],
+                                            columns["has_inner"]) if has)
+            meta["inner_dtype"] = claim
+            inner = bytes(trips * np.dtype(claim).itemsize)
+            return encode_body(meta, body[offset:start] + inner)
+
+        self.corrupt_and_load(
+            tmp_path, graph, lambda p: rewrite_body(p, reclaim)
         )
 
     def test_reexecution_heals_the_store(self, tmp_path, graph):

@@ -76,10 +76,12 @@ DEFAULT_MIN_SPEEDUP = 3.0
 #: at most this fraction of the cold sweep's wall time.
 MAX_NEW_DEVICE_RATIO = 0.25
 
-#: Bytes of the 34-entry store this smoke leaves behind, as last recorded
-#: in the numpy-archive (``repro-trace-v1``) entry format; the store must
-#: never be larger than that.
-MAX_STORE_BYTES = 12_972_430
+#: Ceiling on the bytes of the 34-entry store this smoke leaves behind:
+#: the 4,253,205 recorded in the narrow-``inner`` (``repro-trace-v3``)
+#: entry format at deflate level 1, plus about 18% headroom for zlib
+#: builds that deflate differently.  Int32 ``inner`` arrays (10.66 MB in
+#: ``repro-trace-v2``) cannot pass it.
+MAX_STORE_BYTES = 5_000_000
 
 #: The vectorized matrix path must beat the per-spec scalar loop by at
 #: least this factor on the warm sweep-block workload.
