@@ -313,7 +313,7 @@ def _infer_gpu_reduction(ir: SourceIR):
 
 def _infer_cpu_reduction(ir: SourceIR, model: Model) -> CpuReduction:
     if model is Model.OPENMP:
-        if any("reduction(+:" in r.pragma for r in ir.regions):
+        if any(r.reduction and r.reduction[0] == "+" for r in ir.regions):
             return CpuReduction.CLAUSE
         for region in ir.regions:
             for a in region.accesses:

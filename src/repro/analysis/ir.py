@@ -352,6 +352,8 @@ class ParallelRegion:
     line: int
     pragma: str  #: the owning ``#pragma omp ...`` text ("" otherwise)
     item_var: Optional[str]  #: induction variable of the item loop
+    #: ``(operator, variable)`` of the pragma's ``reduction`` clause
+    reduction: Optional[Tuple[str, str]] = None
     loops: List[Loop] = field(default_factory=list)
     accesses: List[ArrayAccess] = field(default_factory=list)
     env: Dict[str, str] = field(default_factory=dict)
@@ -436,7 +438,7 @@ _DECLARATOR_RE = re.compile(r"(\w+)\s*(?:=|;|$|\{|\[)")
 _WORD_RE = re.compile(r"\w+")
 _FOR_HEAD_RE = re.compile(r"\s*for\s*\(")
 _INLINE_FOR_RE = re.compile(r"\s*for\s*\(([^;]*);[^;]*;[^)]*\)\s*(.*)$")
-_REDUCTION_RE = re.compile(r"reduction\s*\(\s*[+*]\s*:\s*(\w+)")
+_REDUCTION_RE = re.compile(r"reduction\s*\(\s*([+*])\s*:\s*(\w+)")
 _WORKLIST_INDEX_RE = re.compile(r"^wl\s*\[")
 _ATOMIC_ADD_CALL_RE = re.compile(r"\batomicAdd\s*\(")
 _POST_INCREMENT_RE = re.compile(r"\w+\s*\+\+")
@@ -688,7 +690,8 @@ class _RegionBuilder:
         )
         self.body_parts: List[str] = []
         red = _REDUCTION_RE.search(pragma or "")
-        self.reduction_vars = {red.group(1)} if red else set()
+        self.region.reduction = red.groups() if red else None
+        self.reduction_var = red.group(2) if red else None
         self.capture_vars: set = set()
 
     # -- dataflow ------------------------------------------------------
@@ -726,7 +729,7 @@ class _RegionBuilder:
             icls = IndexClass.SCALAR
         else:
             icls = self.resolve_index(index)
-        if array in self.reduction_vars and kind is AccessKind.WRITE:
+        if array == self.reduction_var and kind is AccessKind.WRITE:
             guard = Guard.REDUCTION
         self.region.accesses.append(
             ArrayAccess(

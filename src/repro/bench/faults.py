@@ -1,7 +1,7 @@
 """Deterministic fault injection for the sweep supervisor (test-only).
 
 The supervision paths in :mod:`repro.bench.parallel` — retry, timeout,
-crash recovery, serial fallback, checkpoint quarantine — only matter when
+crash recovery, serial fallback, block quarantine — only matter when
 something goes wrong, so CI must be able to *make* things go wrong on a
 precise schedule.  Setting ``$REPRO_FAULTS`` to a JSON list of rules arms
 this module; it is inert (and costs one env lookup) otherwise.
@@ -21,8 +21,6 @@ Each rule is an object with:
     while mapped to shared segments never unlinks them;
     ``"verify"`` — make one variant's verification fail inside an
     otherwise healthy block;
-    ``"corrupt-checkpoint"`` — truncate the block's checkpoint entry
-    right after it is written;
     ``"kill-executor"`` — ``os._exit`` the *serving plane's* sweep
     executor worker mid-job (worker-only, like ``kill``); exercises the
     service's retry, circuit-breaker, and degraded-mode paths;
@@ -68,7 +66,6 @@ __all__ = [
     "inject_block_fault",
     "inject_attached_fault",
     "apply_verify_faults",
-    "maybe_corrupt_checkpoint",
     "inject_executor_fault",
     "inject_enqueue_fault",
 ]
@@ -110,7 +107,7 @@ class FaultRule:
 
 
 _ACTIONS = (
-    "raise", "hang", "kill", "kill-attached", "verify", "corrupt-checkpoint",
+    "raise", "hang", "kill", "kill-attached", "verify",
     "kill-executor", "hang-request", "reject-enqueue",
 )
 
@@ -244,15 +241,3 @@ def apply_verify_faults(launcher, block, attempt: int) -> None:
 
     launcher.execute_semantic = injected
 
-
-def maybe_corrupt_checkpoint(path, algorithm: str, graph: str) -> bool:
-    """Truncate a just-written checkpoint entry if a rule schedules it."""
-    for rule in active_rules():
-        if rule.action != "corrupt-checkpoint":
-            continue
-        if not rule.matches(algorithm, graph, 0):
-            continue
-        data = path.read_bytes()
-        path.write_bytes(data[: max(1, len(data) // 2)])
-        return True
-    return False

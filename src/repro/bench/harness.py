@@ -99,10 +99,10 @@ class SweepConfig:
     max_footprint_bytes: Optional[int] = None
     #: Use the persistent trace store (:mod:`repro.bench.tracestore`):
     #: semantic executions are fetched from / saved to disk, so repeated
-    #: or resumed sweeps re-time mapping variants with zero kernel
-    #: executions.  ``$REPRO_TRACE_CACHE=0`` overrides to off; a path
-    #: there overrides the directory.  Deliberately *not* part of the
-    #: sweep cache key — results are bit-identical either way.
+    #: sweeps (and re-runs of a crashed one) re-time mapping variants
+    #: with zero kernel executions.  ``$REPRO_TRACE_CACHE=0`` overrides
+    #: to off; a path there overrides the directory.  Deliberately *not*
+    #: part of the sweep cache key — results are bit-identical either way.
     trace_cache: bool = True
     #: Predict-then-verify pruning (:class:`PredictSettings`); ``None``
     #: (the default) sweeps exhaustively.  *Is* part of the sweep cache

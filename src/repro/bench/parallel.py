@@ -40,11 +40,13 @@ Unlike a bare process pool, the engine *supervises* its workers:
 * a variant that fails verification inside a block costs only its own
   grid cells (recorded per (spec, device) in the manifest), never the
   block;
-* every healthy block streams to an atomic, checksummed checkpoint
-  (:mod:`repro.bench.checkpoint`), so ``resume=True`` skips finished
-  blocks after a crash or Ctrl-C;
 * SIGINT, SIGTERM and dead workers always tear the worker set down
   cleanly.
+
+A sweep cut short by a crash, SIGTERM or Ctrl-C is recovered by running
+it again: every semantic trace a finished block executed is already in
+the trace store (:mod:`repro.bench.tracestore`), so the re-run executes
+kernels only for the blocks that had not finished.
 
 The simulator is deterministic by design, so the parallel engine is
 *bit-identical* to the serial path: blocks are reassembled in the serial
@@ -74,7 +76,6 @@ from ..styles.axes import Algorithm, Model
 from ..styles.combos import enumerate_specs
 from ..styles.spec import SemanticKey, StyleSpec
 from . import faults
-from .checkpoint import BlockOutcome, CheckpointStore
 from .harness import StudyResults, SweepConfig, block_grid, sweep_block_runs
 
 __all__ = [
@@ -102,6 +103,17 @@ DEFAULT_RETRY_BACKOFF = 0.25
 
 #: Called after each finished block: ``progress(done, total, block)``.
 ProgressFn = Callable[[int, int, "SweepBlock"], None]
+
+
+@dataclass
+class BlockOutcome:
+    """What one (algorithm, graph) block produced: its runs plus any
+    per-variant failure records."""
+
+    runs: List[RunResult] = field(default_factory=list)
+    failures: List[FailedRun] = field(default_factory=list)
+    #: Kernels the block actually executed (trace-store hits excluded).
+    kernel_executions: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,23 +156,6 @@ class SweepBlock:
             verify=self.verify,
             max_footprint_bytes=self.max_footprint_bytes,
             trace_cache=self.trace_cache,
-        )
-
-    @property
-    def key(self) -> Tuple[str, ...]:
-        """Stable block identity, used by the checkpoint.
-
-        ``(algorithm, graph)`` for a whole block; semantic shards append a
-        ``shard-i-of-n`` component, so a resume with a different worker
-        count (hence a different sharding) re-runs the affected blocks
-        instead of mis-resuming partial ones.
-        """
-        if self.n_shards == 1:
-            return (self.algorithm.value, self.graph_name)
-        return (
-            self.algorithm.value,
-            self.graph_name,
-            f"shard-{self.shard}-of-{self.n_shards}",
         )
 
     def specs_for(self, model: Model) -> List[StyleSpec]:
@@ -241,8 +236,7 @@ def shard_blocks(blocks: List[SweepBlock], workers: int) -> List[SweepBlock]:
     (attaching is free; rebuilding per shard would multiply graph-build
     time).  Shards of one block stay adjacent and ordered, which is what
     lets :func:`run_sweep_parallel` reassemble serial run order.  The
-    shard count depends only on the block (not on ``workers``), so
-    checkpoint keys stay stable across worker counts.
+    shard count depends only on the block, not on ``workers``.
     """
     if workers <= len(blocks):
         return blocks
@@ -354,10 +348,11 @@ def _sigterm_as_interrupt():
     A containerized shutdown (``docker stop``, a Kubernetes pod delete, a
     systemd unit stop) delivers SIGTERM, whose default disposition kills
     the supervisor instantly — leaking worker processes and skipping the
-    checkpoint-preserving teardown that Ctrl-C (SIGINT) already gets.
-    Re-raising it as :class:`KeyboardInterrupt` routes both signals
-    through the identical cleanup path: workers reaped, the shared-memory
-    plane unlinked, finished-block checkpoints kept for ``--resume``.
+    teardown that Ctrl-C (SIGINT) already gets.  Re-raising it as
+    :class:`KeyboardInterrupt` routes both signals through the identical
+    cleanup path: workers reaped and the shared-memory plane unlinked.
+    The finished blocks' traces are already in the trace store, so a
+    re-run of the same sweep picks up where this one stopped.
 
     Installed only in the main thread of the main interpreter (``signal``
     refuses anywhere else — e.g. a sweep run from a serving-plane worker
@@ -400,26 +395,21 @@ def run_sweep_parallel(
     block_timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    resume: bool = False,
-    checkpoint_dir: Optional[str] = None,
 ) -> StudyResults:
     """Run the configured sweep across supervised worker processes.
 
     Bit-identical to :func:`repro.bench.run_sweep` on healthy blocks: same
     runs, same order, same floats.  Failures — a bad variant, a crashed or
-    hung worker, a corrupted checkpoint entry — are captured into the
-    result's failure manifest instead of aborting the sweep; see the
-    module docstring for the supervision policy.
+    hung worker — are captured into the result's failure manifest instead
+    of aborting the sweep; see the module docstring for the supervision
+    policy.
 
     ``workers=None`` uses ``$REPRO_SWEEP_WORKERS`` or the machine's core
     count capped by the block count; ``workers=1`` (or a single block)
     runs the blocks serially in-process.  ``block_timeout=None`` reads
-    ``$REPRO_BLOCK_TIMEOUT`` (no timeout if unset).  Healthy blocks are
-    checkpointed as they finish (registry inputs only — custom ``graphs``
-    cannot be rebuilt on resume); ``resume=True`` skips blocks already
-    checkpointed by an interrupted identical sweep.  The checkpoint is
-    removed after a fully clean sweep and kept otherwise, so a follow-up
-    ``resume=True`` retries exactly the quarantined blocks.
+    ``$REPRO_BLOCK_TIMEOUT`` (no timeout if unset).  Re-running a sweep
+    that crashed or quarantined blocks executes kernels only for those
+    blocks: the trace store holds everything the finished ones ran.
 
     When workers outnumber the (algorithm, graph) blocks, the surplus is
     absorbed by semantic shards (see the module docstring): blocks split
@@ -436,13 +426,9 @@ def run_sweep_parallel(
             else {name: all_graphs[name] for name in config.graphs}
         )
         blocks = partition_blocks(config)
-        store: Optional[CheckpointStore] = CheckpointStore.for_config(
-            config, checkpoint_dir
-        )
     else:
         graphs_for_results = dict(graphs)
         blocks = partition_blocks(config, graphs_for_results)
-        store = None  # custom graphs cannot be rebuilt on resume
     workers = resolve_workers(workers, len(blocks))
 
     # Publish the graphs once into the shared-memory plane: workers attach
@@ -466,28 +452,11 @@ def run_sweep_parallel(
     total = len(blocks)
 
     outcomes: Dict[int, BlockOutcome] = {}
-    if store is not None:
-        if resume:
-            expected = {i: b.key for i, b in enumerate(blocks)}
-            outcomes.update(store.load(expected))
-        else:
-            store.clear()
-
-    done_count = len(outcomes)
-    if progress is not None:
-        for done, index in enumerate(sorted(outcomes), start=1):
-            progress(done, total, blocks[index])
 
     def record(index: int, outcome: BlockOutcome) -> None:
-        nonlocal done_count
         outcomes[index] = outcome
-        # Quarantined blocks are deliberately not checkpointed: a resumed
-        # sweep should retry them, not inherit their failure.
-        if store is not None and outcome.healthy:
-            store.save_block(index, blocks[index].key, outcome)
-        done_count += 1
         if progress is not None:
-            progress(done_count, total, blocks[index])
+            progress(len(outcomes), total, blocks[index])
 
     def give_up(
         index: int, error_class: ErrorClass, detail: str, attempts: int
@@ -506,12 +475,11 @@ def run_sweep_parallel(
                 attempts += 1
         record(index, _quarantined(block, error_class, detail, attempts))
 
-    todo = [i for i in range(total) if i not in outcomes]
     try:
         with _sigterm_as_interrupt():
-            if workers == 1 or len(todo) == 1:
-                _run_blocks_inprocess(blocks, todo, record)
-            elif todo:
+            if workers == 1 or total <= 1:
+                _run_blocks_inprocess(blocks, record)
+            else:
                 WorkerPool(
                     run_block_outcome,
                     on_done=record,
@@ -522,7 +490,7 @@ def run_sweep_parallel(
                     retry_backoff=retry_backoff,
                     # A whole block gets a fresh worker; shards reuse one.
                     reuse=lambda block: block.n_shards > 1,
-                ).run((i, blocks[i]) for i in todo)
+                ).run(enumerate(blocks))
     finally:
         if plane is not None:
             plane.close()
@@ -533,7 +501,6 @@ def run_sweep_parallel(
     # which is what keeps the parallel path bit-identical to the serial
     # one regardless of worker count.
     results = StudyResults(graphs=graphs_for_results)
-    clean = True
     index = 0
     while index < total:
         block = blocks[index]
@@ -543,20 +510,16 @@ def run_sweep_parallel(
         for i in group:
             outcome = outcomes.get(i)
             if outcome is None:  # only possible if a callback misbehaved
-                clean = False
                 continue
             runs.extend(outcome.runs)
             for failure in outcome.failures:
                 results.add_failure(failure)
             results.kernel_executions += outcome.kernel_executions
-            clean = clean and not outcome.failures
         if block.n_shards > 1:
             positions = _canonical_positions(block)
             runs.sort(key=lambda run: positions[(run.spec, run.device)])
         for run in runs:
             results.add(run)
-    if store is not None and clean:
-        store.clear()
     return results
 
 
@@ -575,7 +538,6 @@ def _canonical_positions(
 
 def _run_blocks_inprocess(
     blocks: List[SweepBlock],
-    todo: List[int],
     record: Callable[[int, BlockOutcome], None],
 ) -> None:
     """The serial engine: same blocks, same order, no worker processes.
@@ -583,11 +545,11 @@ def _run_blocks_inprocess(
     Timeouts and crash recovery need process isolation and do not apply;
     a block that raises is quarantined directly.
     """
-    for index in todo:
+    for index, block in enumerate(blocks):
         try:
-            outcome = run_block_outcome(blocks[index])
+            outcome = run_block_outcome(block)
         except Exception as exc:
-            outcome = _quarantined(blocks[index], *describe(exc))
+            outcome = _quarantined(block, *describe(exc))
         record(index, outcome)
 
 

@@ -3,7 +3,7 @@
 The launcher's central efficiency trick — execute each *semantic* style
 combination once, re-time it for every mapping combination — previously
 stopped at the process boundary: the trace cache lived in memory, so every
-sweep, every worker process, and every resumed run re-executed (and
+sweep, every worker process, and every re-run re-executed (and
 re-verified) the same kernels from scratch.  This store extends the trick
 across processes and sessions: a trace is serialized once, keyed by
 everything that determines its content, and any later launcher reassembles

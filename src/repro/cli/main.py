@@ -370,11 +370,6 @@ def _add_workers_flag(sub) -> None:
              "fallback and quarantine (default: 2)",
     )
     sub.add_argument(
-        "--resume", action="store_true",
-        help="skip blocks already checkpointed by an interrupted run of "
-             "the identical sweep",
-    )
-    sub.add_argument(
         "--no-trace-cache", action="store_true",
         help="bypass the persistent semantic-trace store and re-execute "
              "every kernel (see `cache` for inspecting the store)",
@@ -452,11 +447,7 @@ def _cmd_run(args) -> int:
 
 def _supervision_kwargs(args) -> dict:
     """The supervision options every sweep-running command shares."""
-    kwargs = dict(
-        workers=args.workers,
-        block_timeout=args.block_timeout,
-        resume=args.resume,
-    )
+    kwargs = dict(workers=args.workers, block_timeout=args.block_timeout)
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
     return kwargs

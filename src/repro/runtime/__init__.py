@@ -4,7 +4,6 @@ verification against serial references."""
 from .budget import BudgetExceeded, ResourceBudget, estimate_bytes
 from .errors import (
     BlockTimeoutError,
-    CheckpointCorruptError,
     ErrorClass,
     FailedRun,
     SweepError,
@@ -35,7 +34,6 @@ __all__ = [
     "SweepError",
     "BlockTimeoutError",
     "WorkerCrashError",
-    "CheckpointCorruptError",
     "classify_error",
     "error_digest",
 ]

@@ -1,15 +1,13 @@
 """Structured failure taxonomy for the sweep runtime.
 
 A full study sweep executes tens of thousands of kernel runs; a single
-bad variant, crashed worker, or corrupted cache entry must be *recorded*,
-not allowed to abort the sweep and discard every finished block.  This
-module defines the vocabulary the supervisor, the checkpoint store, and
-the failure manifest share:
+bad variant or crashed worker must be *recorded*, not allowed to abort
+the sweep and discard every finished block.  This module defines the
+vocabulary the supervisor and the failure manifest share:
 
 * :class:`ErrorClass` — what kind of thing went wrong;
 * the exception types the supervisor raises internally
-  (:class:`BlockTimeoutError`, :class:`WorkerCrashError`,
-  :class:`CheckpointCorruptError`);
+  (:class:`BlockTimeoutError`, :class:`WorkerCrashError`);
 * :func:`classify_error` — map any exception onto the taxonomy;
 * :class:`FailedRun` — one manifest entry: which cell of the study grid
   is missing, why, and after how many attempts.
@@ -27,7 +25,6 @@ __all__ = [
     "SweepError",
     "BlockTimeoutError",
     "WorkerCrashError",
-    "CheckpointCorruptError",
     "classify_error",
     "error_digest",
     "FailedRun",
@@ -45,7 +42,9 @@ class ErrorClass(enum.Enum):
     TIMEOUT = "timeout"
     #: A worker process died without reporting a result.
     CRASH = "crash"
-    #: A checkpoint or cache entry failed its integrity check.
+    #: A predicted sweep found no usable predictor model (disabled,
+    #: missing, corrupt or mismatched artifact) and ran exhaustively.
+    #: The value and its ``checkpoint-corrupt`` service code are frozen.
     CHECKPOINT = "checkpoint"
     #: The sweep was interrupted (SIGINT / KeyboardInterrupt).
     INTERRUPTED = "interrupted"
@@ -72,10 +71,6 @@ class WorkerCrashError(SweepError):
     """A worker process exited without sending back its block's runs."""
 
 
-class CheckpointCorruptError(SweepError):
-    """A checkpoint entry is truncated or fails its checksum."""
-
-
 def classify_error(exc: BaseException) -> ErrorClass:
     """Map an exception onto the :class:`ErrorClass` taxonomy."""
     from ..kernels.base import DegenerateGraphError, DivergenceError
@@ -94,8 +89,6 @@ def classify_error(exc: BaseException) -> ErrorClass:
         return ErrorClass.TIMEOUT
     if isinstance(exc, WorkerCrashError):
         return ErrorClass.CRASH
-    if isinstance(exc, CheckpointCorruptError):
-        return ErrorClass.CHECKPOINT
     if isinstance(exc, KeyboardInterrupt):
         return ErrorClass.INTERRUPTED
     return ErrorClass.KERNEL

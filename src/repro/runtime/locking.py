@@ -1,6 +1,6 @@
 """Advisory file locking for the on-disk stores.
 
-The sweep cache, the trace store, and the checkpoint store all write with
+The sweep cache, the trace store, and the predictor artifact all write with
 the same atomic discipline — ``*.tmp-<pid>`` then :func:`os.replace` — so
 a *single* writer can never corrupt an entry.  Two writers on one machine
 are a different story: concurrent garbage collection can unlink another
@@ -16,7 +16,7 @@ files deliberately skip it) and *best-effort portable*: on platforms
 without ``fcntl`` (Windows) the context manager degrades to a no-op, which
 restores the pre-locking behavior instead of breaking single-process use.
 Lock files are named with a leading dot so the stores' ``glob`` patterns
-(``trace-*.npz``, ``block-*.ckpt``, ``sweep-*.pkl``) never pick them up.
+(``trace-*.npz``, ``sweep-*.pkl``) never pick them up.
 """
 
 from __future__ import annotations

@@ -96,7 +96,8 @@ ERROR_CODES: Dict[str, ErrorCode] = _registry(
     ErrorCode("executor-crashed", 502, True,
               "sweep executor worker died without reporting a result"),
     ErrorCode("checkpoint-corrupt", 500, True,
-              "checkpoint or cache entry failed its integrity check"),
+              "no usable predictor model artifact; the sweep ran "
+              "exhaustively"),
     ErrorCode("interrupted", 503, True,
               "execution was interrupted by shutdown"),
     ErrorCode("numerical-divergence", 422, False,

@@ -192,3 +192,19 @@ class TestLockFromStructure:
         assert sorted(f.rule for f in errors_of(spec, text)) == [
             "INFER-CPU-REDUCTION", "RACE-REDUCTION",
         ]
+
+
+class TestReductionFromStructure:
+    """An OpenMP reduction is the ``+`` clause the pragma parser splits,
+    however the clause is spaced."""
+
+    @pytest.mark.parametrize("alg", [Algorithm.PR, Algorithm.TC],
+                             ids=lambda a: a.value)
+    def test_spaced_reduction_clause_is_a_clause_reduction(self, alg):
+        spec = spec_for(alg, Model.OPENMP,
+                        cpu_reduction=CpuReduction.CLAUSE)
+        text = mutate(generate_source(spec), "reduction(+:",
+                      "reduction( + : ")
+        inferred = infer_axes(alg, Model.OPENMP, parse_source(text))
+        assert inferred["cpu_reduction"] is CpuReduction.CLAUSE
+        assert errors_of(spec, text) == []

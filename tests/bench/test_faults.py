@@ -1,7 +1,7 @@
 """Deterministic tests of the fault-tolerant sweep runtime.
 
 Every supervision path — per-variant failure capture, retry, serial
-fallback, hang detection, checkpoint resume, cache quarantine — is
+fallback, hang detection, re-run after a crash, cache quarantine — is
 exercised through the $REPRO_FAULTS injection harness, so the behaviours
 only failures can reveal are pinned down without any real flakiness.
 """
@@ -14,8 +14,6 @@ import time
 import pytest
 
 from repro.bench import (
-    BlockOutcome,
-    CheckpointStore,
     SweepConfig,
     cached_sweep,
     load_results,
@@ -28,6 +26,7 @@ from repro.bench import (
 from repro.bench.export import failure_manifest_to_csv
 from repro.bench.faults import FAULTS_ENV, active_rules
 from repro.bench.parallel import resolve_block_timeout, resolve_workers
+from repro.bench.tracestore import TRACE_CACHE_ENV
 from repro.runtime.errors import (
     BlockTimeoutError,
     ErrorClass,
@@ -95,15 +94,13 @@ class TestErrorTaxonomy:
 
 class TestVariantFailures:
     def test_verification_failure_is_captured_not_fatal(
-        self, monkeypatch, tmp_path, clean
+        self, monkeypatch, clean
     ):
         arm(monkeypatch, {
             "action": "verify", "algorithm": "bfs",
             "graph": "USA-road-d.NY", "model": "cuda", "spec_index": 0,
         })
-        results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path
-        )
+        results = run_sweep_parallel(REDUCED, workers=2)
         assert results.failures
         assert all(
             f.stage == "variant"
@@ -127,9 +124,7 @@ class TestVariantFailures:
             "action": "verify", "algorithm": "pr",
             "graph": "soc-LiveJournal1", "spec_index": 1,
         })
-        results = run_sweep_parallel(
-            REDUCED, workers=1, checkpoint_dir=tmp_path
-        )
+        results = run_sweep_parallel(REDUCED, workers=1)
         assert results.failures
         path = save_results(results, tmp_path / "r.pkl", scale="tiny")
         back = load_results(path, rebuild_graphs=False)
@@ -142,13 +137,13 @@ class TestVariantFailures:
 
 class TestBlockSupervision:
     def test_raising_block_is_retried_then_quarantined(
-        self, monkeypatch, tmp_path, clean
+        self, monkeypatch, clean
     ):
         arm(monkeypatch, {
             "action": "raise", "algorithm": "pr", "graph": "soc-LiveJournal1",
         })
         results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path,
+            REDUCED, workers=2,
             max_retries=1, retry_backoff=0.0,
         )
         assert len(results.failures) == 1
@@ -164,21 +159,17 @@ class TestBlockSupervision:
         ]
         assert results.runs == expected
 
-    def test_transient_failure_recovers_on_retry(
-        self, monkeypatch, tmp_path, clean
-    ):
+    def test_transient_failure_recovers_on_retry(self, monkeypatch, clean):
         arm(monkeypatch, {
             "action": "raise", "algorithm": "bfs",
             "graph": "USA-road-d.NY", "attempts": [0],
         })
-        results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path, retry_backoff=0.0
-        )
+        results = run_sweep_parallel(REDUCED, workers=2, retry_backoff=0.0)
         assert not results.failures
         assert run_signature(results) == run_signature(clean)
 
     def test_killed_worker_block_reruns_serially(
-        self, monkeypatch, tmp_path, clean
+        self, monkeypatch, clean
     ):
         # "kill" fires in worker processes only, so the serial in-process
         # fallback succeeds: a worker-environment fault costs nothing.
@@ -186,14 +177,14 @@ class TestBlockSupervision:
             "action": "kill", "algorithm": "pr", "graph": "USA-road-d.NY",
         })
         results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path,
+            REDUCED, workers=2,
             max_retries=1, retry_backoff=0.0,
         )
         assert not results.failures
         assert run_signature(results) == run_signature(clean)
 
     def test_worker_killed_while_attached_to_shm_plane(
-        self, monkeypatch, tmp_path, clean
+        self, monkeypatch, clean
     ):
         # The worker dies *after* attaching to the shared-memory graph
         # plane.  The contract under test: a dying attacher never unlinks
@@ -209,7 +200,7 @@ class TestBlockSupervision:
             "algorithm": "pr", "graph": "USA-road-d.NY",
         })
         results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path,
+            REDUCED, workers=2,
             max_retries=1, retry_backoff=0.0,
         )
         assert not results.failures
@@ -219,7 +210,7 @@ class TestBlockSupervision:
             assert not leaked
 
     def test_worker_killed_while_attached_recovers_on_retry(
-        self, monkeypatch, tmp_path, clean
+        self, monkeypatch, clean
     ):
         # Only the first attempt dies: the retried worker re-attaches to
         # the same still-published segments and completes normally.
@@ -227,18 +218,16 @@ class TestBlockSupervision:
             "action": "kill-attached", "algorithm": "bfs",
             "graph": "soc-LiveJournal1", "attempts": [0],
         })
-        results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path, retry_backoff=0.0
-        )
+        results = run_sweep_parallel(REDUCED, workers=2, retry_backoff=0.0)
         assert not results.failures
         assert run_signature(results) == run_signature(clean)
 
-    def test_hung_block_hits_the_timeout(self, monkeypatch, tmp_path, clean):
+    def test_hung_block_hits_the_timeout(self, monkeypatch, clean):
         arm(monkeypatch, {
             "action": "hang", "algorithm": "bfs", "graph": "soc-LiveJournal1",
         })
         results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path,
+            REDUCED, workers=2,
             block_timeout=2.0, max_retries=0,
         )
         assert len(results.failures) == 1
@@ -252,15 +241,11 @@ class TestBlockSupervision:
         ]
         assert results.runs == expected
 
-    def test_serial_engine_quarantines_raising_block(
-        self, monkeypatch, tmp_path, clean
-    ):
+    def test_serial_engine_quarantines_raising_block(self, monkeypatch, clean):
         arm(monkeypatch, {
             "action": "raise", "algorithm": "bfs", "graph": "soc-LiveJournal1",
         })
-        results = run_sweep_parallel(
-            REDUCED, workers=1, checkpoint_dir=tmp_path
-        )
+        results = run_sweep_parallel(REDUCED, workers=1)
         assert len(results.failures) == 1
         assert results.failures[0].stage == "block"
         expected = [
@@ -305,9 +290,7 @@ class TestWorkerLifecycle:
         self, monkeypatch, tmp_path, clean
     ):
         log = self.log_worker_pids(monkeypatch, tmp_path)
-        results = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path / "ckpt"
-        )
+        results = run_sweep_parallel(REDUCED, workers=2)
         assert run_signature(results) == run_signature(clean)
         pids = log.read_text().split()
         assert len(pids) == 4  # one per (algorithm, graph) block
@@ -316,15 +299,13 @@ class TestWorkerLifecycle:
 
     def test_shards_reuse_workers(self, monkeypatch, tmp_path):
         log = self.log_worker_pids(monkeypatch, tmp_path)
-        run_sweep_parallel(SMALL, workers=6, checkpoint_dir=tmp_path / "ckpt")
+        run_sweep_parallel(SMALL, workers=6)
         pids = log.read_text().split()
         assert len(pids) == 10  # one per semantic shard
         assert len(set(pids)) <= 6
         assert str(os.getpid()) not in pids
 
-    def test_killed_shard_worker_is_reaped_without_a_stall(
-        self, monkeypatch, tmp_path
-    ):
+    def test_killed_shard_worker_is_reaped_without_a_stall(self, monkeypatch):
         """A hung shard under surplus workers is killed at its deadline,
         and reaping the killed worker costs no extra join timeout: the
         sweep's own signal handlers must not survive into its workers."""
@@ -334,7 +315,7 @@ class TestWorkerLifecycle:
         timeout = 1.0
         start = time.monotonic()
         results = run_sweep_parallel(
-            SMALL, workers=6, checkpoint_dir=tmp_path,
+            SMALL, workers=6,
             block_timeout=timeout, max_retries=0,
         )
         elapsed = time.monotonic() - start
@@ -348,79 +329,36 @@ class TestWorkerLifecycle:
         assert elapsed < timeout + 4.0
 
 
-class TestCheckpointResume:
-    def test_resume_after_failed_run_is_byte_identical(
+class TestRerunAfterCrash:
+    def test_rerun_after_failed_block_is_byte_identical(
         self, monkeypatch, tmp_path, clean
     ):
-        clean_csv = sweep_to_csv(clean)
-        # Run 1 "crashes": the last block hard-fails (so it is never
-        # checkpointed) and the first block's checkpoint entry is
-        # corrupted on disk right after being written.
-        arm(
-            monkeypatch,
-            {"action": "raise", "algorithm": "pr", "graph": "soc-LiveJournal1"},
-            {"action": "corrupt-checkpoint", "algorithm": "bfs",
-             "graph": "USA-road-d.NY"},
-        )
-        first = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path,
-            max_retries=0, retry_backoff=0.0,
-        )
-        assert len(first.failures) == 1
-        store = CheckpointStore.for_config(REDUCED, tmp_path)
-        assert len(store) == 3  # the quarantined block was not checkpointed
-
-        # Run 2 resumes.  A raise rule on a *checkpointed* block proves the
-        # checkpoint is honoured: if that block re-ran, it would fail.
-        arm(monkeypatch, {
-            "action": "raise", "algorithm": "bfs", "graph": "soc-LiveJournal1",
-        })
-        second = run_sweep_parallel(
-            REDUCED, workers=2, checkpoint_dir=tmp_path,
-            resume=True, retry_backoff=0.0,
-        )
-        assert not second.failures
-        assert sweep_to_csv(second) == clean_csv
-        # A fully clean completion clears the store (quarantine included).
-        assert not store.directory.exists()
-
-    def test_corrupt_entry_is_quarantined_with_warning(
-        self, tmp_path, capsys, clean
-    ):
-        store = CheckpointStore(tmp_path / "ckpt")
-        outcome = BlockOutcome(runs=clean.runs[:3])
-        store.save_block(0, ("bfs", "USA-road-d.NY"), outcome)
-        store.save_block(1, ("bfs", "soc-LiveJournal1"), outcome)
-        path = store.entry_path(0)
-        path.write_bytes(path.read_bytes()[:40])  # truncate
-        loaded = store.load()
-        assert list(loaded) == [1]
-        assert loaded[1].runs == outcome.runs
-        assert (store.directory / "quarantine" / path.name).exists()
-        assert "quarantined" in capsys.readouterr().err
-
-    def test_entries_for_a_different_sweep_are_ignored(self, tmp_path, clean):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.save_block(0, ("bfs", "USA-road-d.NY"), BlockOutcome(runs=clean.runs[:1]))
-        expected = {0: ("pr", "USA-road-d.NY")}
-        assert store.load(expected) == {}
-
-    def test_fresh_run_discards_stale_checkpoints(
-        self, monkeypatch, tmp_path, clean
-    ):
-        # Without --resume, an earlier run's entries must not leak in.
+        """A sweep that lost a block is recovered by running it again:
+        the trace store holds every finished block's traces, so the re-run
+        executes exactly the lost block's kernels."""
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "traces"))
         arm(monkeypatch, {
             "action": "raise", "algorithm": "pr", "graph": "soc-LiveJournal1",
         })
-        run_sweep_parallel(
-            REDUCED, workers=1, checkpoint_dir=tmp_path, retry_backoff=0.0
+        first = run_sweep_parallel(
+            REDUCED, workers=2, max_retries=0, retry_backoff=0.0
         )
+        assert len(first.failures) == 1
+
         monkeypatch.delenv(FAULTS_ENV)
-        results = run_sweep_parallel(
-            REDUCED, workers=1, checkpoint_dir=tmp_path
+        second = run_sweep_parallel(REDUCED, workers=2)
+        assert not second.failures
+        assert sweep_to_csv(second) == sweep_to_csv(clean)
+
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "cold"))
+        block = SweepConfig(
+            scale="tiny",
+            algorithms=(Algorithm.PR,),
+            graphs=("soc-LiveJournal1",),
         )
-        assert not results.failures
-        assert run_signature(results) == run_signature(clean)
+        alone = run_sweep_parallel(block, workers=1)
+        assert alone.kernel_executions > 0
+        assert second.kernel_executions == alone.kernel_executions
 
 
 class TestStorageIntegrity:

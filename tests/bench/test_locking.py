@@ -1,6 +1,6 @@
 """Advisory store locking: two processes contending on one directory.
 
-The sweep cache, trace store and checkpoint store all write through
+The sweep cache, trace store and predictor artifact all write through
 ``tmp + os.replace`` (atomic per file), but their multi-file sections —
 GC scans, quarantine moves — interleave badly without a lock.  These
 tests pin the :mod:`repro.runtime.locking` contract: mutual exclusion
@@ -116,7 +116,6 @@ def test_lock_file_is_invisible_to_store_globs(tmp_path):
     # The stores enumerate entries with these patterns; the lock file
     # must never be mistaken for an entry (or GC'd/quarantined).
     assert list(tmp_path.glob("trace-*.npz")) == []
-    assert list(tmp_path.glob("block-*.ckpt")) == []
     assert list(tmp_path.glob("sweep-*.pkl")) == []
 
 

@@ -1,10 +1,10 @@
 """SIGTERM handling in the parallel sweep supervisor.
 
 A containerized shutdown delivers SIGTERM, not SIGINT; the supervisor
-must treat both identically — clean worker teardown, finished-block
-checkpoints kept for ``--resume`` — instead of dying mid-write with
-leaked children.  Exercised end to end in a subprocess, since signal
-dispositions are process-global.
+must treat both identically — clean worker teardown, the finished
+blocks' traces kept in the trace store for a re-run — instead of dying
+mid-write with leaked children.  Exercised end to end in a subprocess,
+since signal dispositions are process-global.
 """
 
 import json
@@ -24,15 +24,16 @@ pytestmark = pytest.mark.faults
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
-#: Sweeps one healthy graph, checkpoints it, then hangs on the second —
-#: the only way out is the signal under test.  Prints INTERRUPTED plus
-#: the number of checkpoint entries if (and only if) the clean
-#: KeyboardInterrupt teardown ran.
+#: Sweeps one healthy graph into the trace store, then hangs on the
+#: second — the only way out is the signal under test.  Prints
+#: INTERRUPTED plus the number of trace-store entries if (and only if)
+#: the clean KeyboardInterrupt teardown ran.
 _SCRIPT = """
+import os
 import sys
 from repro.bench.harness import SweepConfig
-from repro.bench.checkpoint import CheckpointStore
 from repro.bench.parallel import run_sweep_parallel
+from repro.bench.tracestore import TraceStore
 from repro.styles.axes import Algorithm, Model
 
 config = SweepConfig(
@@ -41,7 +42,6 @@ config = SweepConfig(
     models=(Model.OPENMP,),
     cpu_names=("Threadripper 2950X",),
     graphs=("2d-2e20.sym", "USA-road-d.NY"),
-    trace_cache=False,
 )
 
 
@@ -52,8 +52,8 @@ def progress(done, total, block):
 try:
     run_sweep_parallel(config, workers=1, progress=progress)
 except KeyboardInterrupt:
-    store = CheckpointStore.for_config(config)
-    print(f"INTERRUPTED {len(store)}", flush=True)
+    store = TraceStore(os.environ["REPRO_TRACE_CACHE"])
+    print(f"INTERRUPTED {store.stats().entries}", flush=True)
     sys.exit(3)
 print("FINISHED", flush=True)
 """
@@ -63,8 +63,10 @@ def test_sigterm_takes_the_clean_interrupt_path(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_SWEEP_CACHE"] = str(tmp_path / "cache")
-    env["REPRO_TRACE_CACHE"] = "0"
-    # Hang the second block forever; the first completes and checkpoints.
+    traces = tmp_path / "traces"
+    env["REPRO_TRACE_CACHE"] = str(traces)
+    # Hang the second block forever; the first completes and saves its
+    # traces.
     env["REPRO_FAULTS"] = json.dumps(
         [{"action": "hang", "graph": "USA-road-d.NY"}]
     )
@@ -76,7 +78,7 @@ def test_sigterm_takes_the_clean_interrupt_path(tmp_path):
         text=True,
     )
     try:
-        # Wait for the first block to finish (and be checkpointed).
+        # Wait for the first block to finish.
         line = proc.stdout.readline()
         assert line.startswith("PROGRESS 1/"), f"unexpected: {line!r}"
         proc.send_signal(signal.SIGTERM)
@@ -88,9 +90,11 @@ def test_sigterm_takes_the_clean_interrupt_path(tmp_path):
             proc.wait(timeout=10)
     # Default SIGTERM disposition would kill with -SIGTERM and print
     # nothing; the handler must convert it into the KeyboardInterrupt
-    # teardown instead, with the finished block's checkpoint intact.
+    # teardown instead, with the finished block's traces stored whole.
     assert code == 3, f"exit code {code}, output {out!r}"
-    assert "INTERRUPTED 1" in out
+    entries = int(out.split("INTERRUPTED ", 1)[1].split()[0])
+    assert entries >= 1
+    assert list(traces.rglob("*.tmp-*")) == []
 
 
 def test_sigterm_context_manager_restores_previous_handler():

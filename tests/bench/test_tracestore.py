@@ -650,17 +650,15 @@ SWEEP = SweepConfig(
 class TestWarmSweeps:
     def test_second_sweep_executes_zero_kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "traces"))
-        ckpt = tmp_path / "ckpt"
-        cold = run_sweep_parallel(SWEEP, workers=1, checkpoint_dir=ckpt)
+        cold = run_sweep_parallel(SWEEP, workers=1)
         assert cold.kernel_executions > 0
-        warm = run_sweep_parallel(SWEEP, workers=1, checkpoint_dir=ckpt)
+        warm = run_sweep_parallel(SWEEP, workers=1)
         assert warm.kernel_executions == 0
         assert warm.runs == cold.runs
 
     def test_new_device_retimes_from_stored_traces(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "traces"))
-        ckpt = tmp_path / "ckpt"
-        run_sweep_parallel(SWEEP, workers=1, checkpoint_dir=ckpt)
+        run_sweep_parallel(SWEEP, workers=1)
         # Add a second GPU: mapping variants must re-time from the stored
         # traces — the paper's semantic/mapping split, across sessions.
         both = SweepConfig(
@@ -670,7 +668,7 @@ class TestWarmSweeps:
             graphs=SWEEP.graphs,
             gpu_names=("RTX 3090", "Titan V"),
         )
-        extended = run_sweep_parallel(both, workers=1, checkpoint_dir=ckpt)
+        extended = run_sweep_parallel(both, workers=1)
         assert extended.kernel_executions == 0
         assert {r.device for r in extended.runs} == {"RTX 3090", "Titan V"}
 

@@ -590,7 +590,6 @@ def main(argv=None) -> int:
     # cold/warm transition, not whatever ~/.cache already holds.
     tmp = tempfile.mkdtemp(prefix="repro-perf-smoke-")
     trace_dir = os.path.join(tmp, "traces")
-    checkpoint_dir = os.path.join(tmp, "checkpoints")
     os.environ["REPRO_TRACE_CACHE"] = trace_dir
 
     from repro.bench import SweepConfig, TraceStore, run_sweep_parallel
@@ -606,9 +605,7 @@ def main(argv=None) -> int:
 
     def sweep(cfg):
         start = time.perf_counter()
-        results = run_sweep_parallel(
-            cfg, workers=1, checkpoint_dir=checkpoint_dir
-        )
+        results = run_sweep_parallel(cfg, workers=1)
         return results, time.perf_counter() - start
 
     print("perf smoke: cold sweep (empty trace store) ...", flush=True)
