@@ -306,7 +306,7 @@ def _infer_gpu_reduction(ir: SourceIR):
     votes = []
     if any(f"{name}(" in body for name in _shuffle_helpers(ir)):
         votes.append(GpuReduction.REDUCTION_ADD)
-    if "atomicAdd_block" in body:
+    if any("atomicAdd_block" in r.atomic_calls for r in ir.regions):
         votes.append(GpuReduction.BLOCK_ADD)
     return _agree(*votes) if votes else GpuReduction.GLOBAL_ADD
 

@@ -358,6 +358,8 @@ class ParallelRegion:
     accesses: List[ArrayAccess] = field(default_factory=list)
     env: Dict[str, str] = field(default_factory=dict)
     locals: set = field(default_factory=set)
+    #: atomic intrinsics the region calls (``atomicAdd_block``, ...)
+    atomic_calls: set = field(default_factory=set)
     body: str = ""  #: flattened statement text (joined, for call/guard probes)
 
     def accesses_to(self, array: str) -> List[ArrayAccess]:
@@ -565,7 +567,8 @@ def _scan_bracket(text: str, start: int) -> Optional[int]:
 
 
 def _iter_atomic_calls(text: str):
-    """Yield ``(target, bracket, span)`` for every atomic intrinsic call."""
+    """Yield ``(intrinsic, target, bracket, span, call_start)`` for every
+    atomic intrinsic call."""
     for m in _ATOMIC_HEAD_RE.finditer(text):
         bracket = None
         end = m.end()
@@ -577,7 +580,7 @@ def _iter_atomic_calls(text: str):
         # Leave the index sub-expression outside the consumed span so the
         # read pass still records arrays mentioned inside it.
         span_end = m.end() + 1 if bracket else end
-        yield m.group(2), bracket, (m.start(), span_end), m.start()
+        yield m.group(1), m.group(2), bracket, (m.start(), span_end), m.start()
 
 
 def _iter_method_calls(text: str):
@@ -779,7 +782,10 @@ class _RegionBuilder:
         consumed_spans: List[Tuple[int, int]] = []
 
         # 1) atomic call forms
-        for target, bracket, span, call_start in _iter_atomic_calls(text):
+        for intrinsic, target, bracket, span, call_start in _iter_atomic_calls(
+            text
+        ):
+            self.region.atomic_calls.add(intrinsic)
             kind = AccessKind.ATOMIC_RMW
             prefix = text[:call_start]
             if _ASSIGN_RE.search(prefix.split(";")[-1]) or (

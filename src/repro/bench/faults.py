@@ -15,10 +15,6 @@ Each rule is an object with:
     runs in the supervisor's own process, which is exactly what lets the
     serial fallback distinguish worker-environment faults from kernel
     bugs);
-    ``"kill-attached"`` — ``os._exit`` the worker *after* it has attached
-    to the shared-memory graph plane (same worker-only guard as
-    ``kill``); exercises the crash-safety contract that a worker dying
-    while mapped to shared segments never unlinks them;
     ``"verify"`` — make one variant's verification fail inside an
     otherwise healthy block;
     ``"kill-executor"`` — ``os._exit`` the *serving plane's* sweep
@@ -64,7 +60,6 @@ __all__ = [
     "FaultRule",
     "active_rules",
     "inject_block_fault",
-    "inject_attached_fault",
     "apply_verify_faults",
     "inject_executor_fault",
     "inject_enqueue_fault",
@@ -107,7 +102,7 @@ class FaultRule:
 
 
 _ACTIONS = (
-    "raise", "hang", "kill", "kill-attached", "verify",
+    "raise", "hang", "kill", "verify",
     "kill-executor", "hang-request", "reject-enqueue",
 )
 
@@ -158,22 +153,6 @@ def inject_block_fault(algorithm: str, graph: str, attempt: int) -> None:
             time.sleep(HANG_SECONDS)
         elif rule.action == "kill" and os.environ.get(WORKER_ENV):
             os._exit(99)
-
-
-def inject_attached_fault(algorithm: str, graph: str, attempt: int) -> None:
-    """Kill the worker right after the graph is built/attached.
-
-    Fires only for ``kill-attached`` rules and only inside supervised
-    workers — dying while mapped to the shared-memory plane is precisely
-    the crash the plane's publisher-owns-unlink contract must survive.
-    """
-    if not os.environ.get(WORKER_ENV):
-        return
-    for rule in active_rules():
-        if rule.action != "kill-attached":
-            continue
-        if rule.matches(algorithm, graph, attempt):
-            os._exit(98)
 
 
 def inject_executor_fault(algorithm: str, graph: str, attempt: int) -> None:

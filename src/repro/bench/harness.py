@@ -467,7 +467,8 @@ def run_sweep(
     """Run the configured sweep and return all results.
 
     ``graphs`` may be supplied directly (e.g. custom inputs); otherwise the
-    five dataset stand-ins are built at ``config.scale``.
+    dataset stand-ins ``config.graphs`` names (default: all five) are built
+    at ``config.scale``.
 
     With ``config.predict`` set, the sweep is delegated to the
     predict-then-verify engine (:func:`repro.bench.predictor.run_sweep_predicted`):
@@ -480,9 +481,7 @@ def run_sweep(
 
         return run_sweep_predicted(config, launcher=launcher, graphs=graphs)
     if graphs is None:
-        graphs = load_all(config.scale)
-        if config.graphs is not None:
-            graphs = {name: graphs[name] for name in config.graphs}
+        graphs = load_all(config.scale, names=config.graphs)
     launcher = launcher or Launcher(
         verify=config.verify,
         budget=config.budget(),

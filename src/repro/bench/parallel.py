@@ -4,19 +4,19 @@ block workers.
 The sweep's natural work unit is one (algorithm, graph) *block*: all
 program variants of one algorithm on one input, across every model and
 device.  Blocks share nothing but the deterministic input graphs, so they
-fan out over worker processes perfectly.  Graphs reach the workers through
-the zero-copy shared-memory plane (:mod:`repro.graph.shm`): the supervisor
-publishes each graph's CSR arrays once, workers attach read-only views —
-no per-worker rebuild, no pickling — and fall back to a local rebuild if
-the plane is gone.  Each worker executes its block with the batched
-launcher and ships only the compact :class:`RunResult` list back.
+fan out over worker processes perfectly.  The supervisor builds each
+graph the sweep names once and puts it on every block of that input.
+Workers are forked, so a block that gets a fresh worker reads the
+supervisor's CSR arrays copy-on-write, with no rebuild and no pickling;
+a shard sent to a reused worker carries its graph pickled in the unit.
+Each worker executes its block with the batched launcher and ships only
+the compact :class:`RunResult` list back.
 
-Because attaching a graph is free, the plane also unlocks a *finer* work
-unit: when there are more workers than (algorithm, graph) blocks, every
-block is split into **semantic shards**, one per semantic style
-combination, every mapping variant and device of that combination staying
-with its shard.  Shard results are reassembled in the serial run order, so
-the split changes wall-clock time and nothing else.
+When there are more workers than (algorithm, graph) blocks, every block
+is split into **semantic shards**, one per semantic style combination,
+every mapping variant and device of that combination staying with its
+shard.  Shard results are reassembled in the serial run order, so the
+split changes wall-clock time and nothing else.
 
 Blocks and shards run through the package's one supervised worker pool
 (:class:`repro.runtime.workers.WorkerPool`).  Every whole block gets a
@@ -51,8 +51,8 @@ kernels only for the blocks that had not finished.
 The simulator is deterministic by design, so the parallel engine is
 *bit-identical* to the serial path: blocks are reassembled in the serial
 iteration order and every worker performs exactly the computations the
-serial sweep would.  ``workers=1`` (or a single block) executes the
-blocks in-process, in order.
+serial sweep would.  ``workers=1`` executes the blocks in-process, in
+order.
 """
 
 from __future__ import annotations
@@ -65,10 +65,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..graph import shm
 from ..graph.csr import CSRGraph
-from ..graph.datasets import DATASETS, EXTRA_DATASETS, load_all
-from ..graph.shm import SharedGraphHandle, SharedGraphPlane
+from ..graph.datasets import load_all
 from ..runtime.errors import ErrorClass, FailedRun, error_digest
 from ..runtime.launcher import Launcher, RunResult
 from ..runtime.workers import WorkerPool, describe
@@ -121,13 +119,13 @@ class SweepBlock:
     """One unit of parallel work: every variant of one algorithm on one
     input graph, across the configured models and devices.
 
-    Workers rebuild the graph from ``(graph_name, scale)`` through the
-    dataset registry; ``graph`` carries the actual object only when the
-    caller supplied custom inputs that the registry cannot rebuild.
+    ``graph`` is the object the supervisor built or the caller supplied;
+    the block runs on it and never rebuilds from the dataset registry.
     """
 
     algorithm: Algorithm
     graph_name: str
+    graph: CSRGraph = field(compare=False)
     scale: str
     models: Tuple[Model, ...]
     gpu_names: Tuple[str, ...]
@@ -139,9 +137,6 @@ class SweepBlock:
     #: ``n_shards == 1`` means the whole block.
     shard: int = 0
     n_shards: int = 1
-    #: Shared-memory plane handle: workers attach instead of rebuilding.
-    shm_handle: Optional[SharedGraphHandle] = field(default=None, compare=False)
-    graph: Optional[CSRGraph] = field(default=None, compare=False)
 
     @property
     def config(self) -> SweepConfig:
@@ -176,24 +171,20 @@ def partition_blocks(
 ) -> List[SweepBlock]:
     """Split a sweep into its (algorithm, graph) blocks, in serial order.
 
-    When ``graphs`` is provided, each block carries its graph object to the
-    worker (a caller-supplied graph may differ from what the registry would
-    rebuild under the same name); registry inputs ship as name + scale only.
+    Every block carries its graph: one of ``graphs`` when given (a
+    caller-supplied graph may differ from the registry's under the same
+    name), else the inputs ``config`` names, built here once each.
     """
-    names = (
-        list(graphs)
-        if graphs is not None
-        else list(config.graphs) if config.graphs is not None
-        else list(DATASETS)
-    )
+    if graphs is None:
+        graphs = load_all(config.scale, names=config.graphs)
     blocks = []
     for algorithm in config.algorithms:
-        for name in names:
-            payload = None if graphs is None else graphs[name]
+        for name, graph in graphs.items():
             blocks.append(
                 SweepBlock(
                     algorithm=algorithm,
                     graph_name=name,
+                    graph=graph,
                     scale=config.scale,
                     models=tuple(config.models),
                     gpu_names=tuple(config.gpu_names),
@@ -201,7 +192,6 @@ def partition_blocks(
                     verify=config.verify,
                     max_footprint_bytes=config.max_footprint_bytes,
                     trace_cache=config.trace_cache,
-                    graph=payload,
                 )
             )
     return blocks
@@ -228,40 +218,25 @@ def semantic_shard_order(
 
 
 def shard_blocks(blocks: List[SweepBlock], workers: int) -> List[SweepBlock]:
-    """Split shared-memory-backed blocks into semantic shards, one per
-    semantic group.
+    """Split every block into semantic shards, one per semantic group,
+    when ``workers`` outnumber the blocks (and would otherwise idle).
 
-    Only useful when workers would otherwise idle (``workers`` exceeds the
-    block count) and only safe when the graph ships as a plane handle
-    (attaching is free; rebuilding per shard would multiply graph-build
-    time).  Shards of one block stay adjacent and ordered, which is what
-    lets :func:`run_sweep_parallel` reassemble serial run order.  The
-    shard count depends only on the block, not on ``workers``.
+    Shards of one block stay adjacent and ordered, which is what lets
+    :func:`run_sweep_parallel` reassemble serial run order.  The shard
+    count depends only on the block, not on ``workers``.
     """
     if workers <= len(blocks):
         return blocks
     out: List[SweepBlock] = []
     for block in blocks:
         n = 1
-        if block.shm_handle is not None and block.n_shards == 1:
+        if block.n_shards == 1:
             n = len(semantic_shard_order(block.algorithm, block.models))
         if n <= 1:
             out.append(block)
             continue
         out.extend(replace(block, shard=s, n_shards=n) for s in range(n))
     return out
-
-
-def _build_block_graph(block: SweepBlock) -> CSRGraph:
-    if block.shm_handle is not None:
-        try:
-            return shm.attach_graph(block.shm_handle)
-        except shm.SharedGraphGone:
-            pass  # plane gone: rebuild locally below
-    if block.graph is not None:
-        return block.graph
-    spec = {**DATASETS, **EXTRA_DATASETS}[block.graph_name]
-    return spec.build(block.scale)
 
 
 def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
@@ -273,10 +248,7 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
     supervisor, which owns the retry policy.
     """
     faults.inject_block_fault(block.algorithm.value, block.graph_name, attempt)
-    graph = _build_block_graph(block)
-    faults.inject_attached_fault(
-        block.algorithm.value, block.graph_name, attempt
-    )
+    graph = block.graph
     config = block.config
     launcher = Launcher(
         verify=block.verify,
@@ -350,7 +322,7 @@ def _sigterm_as_interrupt():
     the supervisor instantly — leaking worker processes and skipping the
     teardown that Ctrl-C (SIGINT) already gets.  Re-raising it as
     :class:`KeyboardInterrupt` routes both signals through the identical
-    cleanup path: workers reaped and the shared-memory plane unlinked.
+    cleanup path: workers reaped.
     The finished blocks' traces are already in the trace store, so a
     re-run of the same sweep picks up where this one stopped.
 
@@ -405,8 +377,8 @@ def run_sweep_parallel(
     policy.
 
     ``workers=None`` uses ``$REPRO_SWEEP_WORKERS`` or the machine's core
-    count capped by the block count; ``workers=1`` (or a single block)
-    runs the blocks serially in-process.  ``block_timeout=None`` reads
+    count capped by the block count; ``workers=1`` runs the blocks
+    serially in-process.  ``block_timeout=None`` reads
     ``$REPRO_BLOCK_TIMEOUT`` (no timeout if unset).  Re-running a sweep
     that crashed or quarantined blocks executes kernels only for those
     blocks: the trace store holds everything the finished ones ran.
@@ -419,36 +391,12 @@ def run_sweep_parallel(
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     if graphs is None:
-        all_graphs = load_all(config.scale)
-        graphs_for_results = (
-            all_graphs
-            if config.graphs is None
-            else {name: all_graphs[name] for name in config.graphs}
-        )
-        blocks = partition_blocks(config)
+        graphs = load_all(config.scale, names=config.graphs)
     else:
-        graphs_for_results = dict(graphs)
-        blocks = partition_blocks(config, graphs_for_results)
+        graphs = dict(graphs)
+    blocks = partition_blocks(config, graphs)
     workers = resolve_workers(workers, len(blocks))
-
-    # Publish the graphs once into the shared-memory plane: workers attach
-    # read-only views instead of rebuilding (or unpickling) each graph,
-    # and the free attach makes semantic shards a sensible finer work
-    # unit when workers outnumber blocks.
-    plane: Optional[SharedGraphPlane] = None
-    if workers > 1 and len(blocks) > 1 and shm.shm_enabled():
-        plane = SharedGraphPlane()
-        blocks = [
-            replace(
-                block,
-                shm_handle=plane.publish(
-                    block.graph_name, graphs_for_results[block.graph_name]
-                ),
-                graph=None,
-            )
-            for block in blocks
-        ]
-        blocks = shard_blocks(blocks, workers)
+    blocks = shard_blocks(blocks, workers)
     total = len(blocks)
 
     outcomes: Dict[int, BlockOutcome] = {}
@@ -475,32 +423,32 @@ def run_sweep_parallel(
                 attempts += 1
         record(index, _quarantined(block, error_class, detail, attempts))
 
-    try:
-        with _sigterm_as_interrupt():
-            if workers == 1 or total <= 1:
-                _run_blocks_inprocess(blocks, record)
-            else:
-                WorkerPool(
-                    run_block_outcome,
-                    on_done=record,
-                    on_failure=give_up,
-                    workers=workers,
-                    timeout=block_timeout,
-                    max_retries=max_retries,
-                    retry_backoff=retry_backoff,
-                    # A whole block gets a fresh worker; shards reuse one.
-                    reuse=lambda block: block.n_shards > 1,
-                ).run(enumerate(blocks))
-    finally:
-        if plane is not None:
-            plane.close()
+    with _sigterm_as_interrupt():
+        if workers == 1 or total <= 1:
+            _run_blocks_inprocess(blocks, record)
+        else:
+            # Hash each graph once, before the first fork: workers inherit
+            # the memoized fingerprint instead of re-hashing per block.
+            for graph in graphs.values():
+                graph.fingerprint()
+            WorkerPool(
+                run_block_outcome,
+                on_done=record,
+                on_failure=give_up,
+                workers=workers,
+                timeout=block_timeout,
+                max_retries=max_retries,
+                retry_backoff=retry_backoff,
+                # A whole block gets a fresh worker; shards reuse one.
+                reuse=lambda block: block.n_shards > 1,
+            ).run(enumerate(blocks))
 
     # Reassemble in serial run order.  Shards of one block are adjacent in
     # the block list but stripe its semantic groups, so their merged runs
     # are re-sorted by the block's canonical (spec, device) positions —
     # which is what keeps the parallel path bit-identical to the serial
     # one regardless of worker count.
-    results = StudyResults(graphs=graphs_for_results)
+    results = StudyResults(graphs=graphs)
     index = 0
     while index < total:
         block = blocks[index]

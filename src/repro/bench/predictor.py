@@ -975,9 +975,7 @@ def run_sweep_predicted(
     if graphs is None:
         from ..graph.datasets import load_all
 
-        graphs = load_all(config.scale)
-        if config.graphs is not None:
-            graphs = {name: graphs[name] for name in config.graphs}
+        graphs = load_all(config.scale, names=config.graphs)
     if predictor is None:
         predictor, reason = resolve_predictor(settings.model_path)
         if predictor is None:

@@ -989,9 +989,23 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[list] = None) -> int:
-    from concurrent.futures.process import BrokenProcessPool
+def _interrupted_message(args) -> str:
+    """The one line an interrupted command prints.  Sweep-running
+    commands (those with ``--max-retries``) keep every finished block's
+    traces in the trace store, so running them again continues."""
+    from ..bench.tracestore import resolve_trace_store
 
+    if hasattr(args, "max_retries") and resolve_trace_store(
+        not args.no_trace_cache
+    ) is not None:
+        return (
+            "interrupted: the finished blocks' traces are kept in the "
+            "trace store; run the same command again to continue the sweep"
+        )
+    return "interrupted"
+
+
+def main(argv: Optional[list] = None) -> int:
     from ..runtime.budget import BudgetExceeded
 
     args = build_parser().parse_args(argv)
@@ -1003,14 +1017,9 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenProcessPool:
-        print(
-            "error: a sweep worker process died unexpectedly (out of "
-            "memory, or killed); re-run with fewer --workers, or "
-            "--workers 1 to run serially",
-            file=sys.stderr,
-        )
-        return 1
+    except KeyboardInterrupt:
+        print(_interrupted_message(args), file=sys.stderr)
+        return 130
     except BrokenPipeError:
         # Downstream pipe (e.g. `| head`) closed early: exit quietly.
         import os

@@ -43,13 +43,6 @@ from .io import (
     write_edge_list,
     write_matrix_market,
 )
-from .shm import (
-    SharedGraphGone,
-    SharedGraphHandle,
-    SharedGraphPlane,
-    attach_graph,
-    shm_enabled,
-)
 from .properties import (
     GraphProperties,
     analyze,
@@ -101,11 +94,6 @@ __all__ = [
     "write_edge_list",
     "read_matrix_market",
     "write_matrix_market",
-    "SharedGraphPlane",
-    "SharedGraphHandle",
-    "SharedGraphGone",
-    "attach_graph",
-    "shm_enabled",
     "GraphValidator",
     "GraphParseError",
     "GraphValidationError",

@@ -14,7 +14,7 @@ provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Optional
 
 from . import generators
 from .csr import CSRGraph
@@ -202,6 +202,13 @@ def load_dataset(name: str, scale: str = "default") -> CSRGraph:
     return DATASETS[name].build(scale)
 
 
-def load_all(scale: str = "default") -> Dict[str, CSRGraph]:
-    """Build all five inputs at the given scale."""
-    return {name: spec.build(scale) for name, spec in DATASETS.items()}
+def load_all(
+    scale: str = "default", names: Optional[Iterable[str]] = None
+) -> Dict[str, CSRGraph]:
+    """Build the named inputs (default: all five) at the given scale, in
+    the order given; an unknown name raises :func:`load_dataset`'s
+    ``KeyError``."""
+    return {
+        name: load_dataset(name, scale)
+        for name in (DATASETS if names is None else names)
+    }

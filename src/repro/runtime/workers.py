@@ -10,12 +10,15 @@ nothing else:
 * workers are forked and talk to the parent over one duplex pipe each;
   a worker runs ``body(unit, attempt=attempt)`` and reports ``ok`` with
   the result or ``error`` with the classified exception;
+* the parent holds SIGINT and SIGTERM back while it forks, so an
+  interrupt is never swallowed by the fork or lost between the fork
+  and the worker's registration;
 * every worker starts in :func:`_worker_main`, which marks the process
   as a worker for fault injection and restores the default SIGTERM and
-  SIGINT dispositions.  Inherited handlers would turn the parent's kill
-  into a ``KeyboardInterrupt`` the body reports and survives (a sweep
-  runs under ``_sigterm_as_interrupt``), or into a write to the
-  parent's asyncio wakeup fd (the service);
+  SIGINT dispositions (and unblocks them).  Inherited handlers would
+  turn the parent's kill into a ``KeyboardInterrupt`` the body reports
+  and survives (a sweep runs under ``_sigterm_as_interrupt``), or into
+  a write to the parent's asyncio wakeup fd (the service);
 * a unit that outlives ``timeout`` is killed with its worker, and a pipe
   that closes without a report is a :attr:`ErrorClass.CRASH`;
 * a failed unit is retried ``max_retries`` times with exponential
@@ -50,6 +53,9 @@ __all__ = ["WorkerPool", "describe"]
 #: noticed, coarse enough to stay cheap.
 _TICK = 0.05
 
+#: The signals that interrupt a supervisor; held back while it forks.
+_INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
+
 
 def describe(exc: BaseException) -> Tuple[ErrorClass, str]:
     """The taxonomy class and one-line detail of a failed unit."""
@@ -67,6 +73,8 @@ def _worker_main(conn, body, unit, attempt: int, keep: bool) -> None:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
+    # Forked with the interrupts held back (see ``WorkerPool._spawn``).
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
     os.environ[WORKER_ENV] = "1"
     while True:
         try:
@@ -195,8 +203,7 @@ class WorkerPool:
             elif len(live) < self.workers or idle:
                 if len(live) >= self.workers:
                     self._retire(idle[0], live)  # a fresh worker needs its slot
-                worker = self._spawn(task, keep)
-                live.append(worker)
+                worker = self._spawn(task, keep, live)
             else:
                 return
             queue.remove(task)
@@ -204,18 +211,31 @@ class WorkerPool:
             if self.timeout is not None:
                 worker.deadline = time.monotonic() + self.timeout
 
-    def _spawn(self, task: _Task, keep: bool) -> _Worker:
+    def _spawn(self, task: _Task, keep: bool, live: List[_Worker]) -> _Worker:
+        """Fork a worker for ``task`` and add it to ``live``.
+
+        SIGINT and SIGTERM wait until the worker is in ``live``: one that
+        lands inside the fork is swallowed by the interpreter's at-fork
+        hooks, and one that lands before the append leaks a worker the
+        cleanup in :meth:`run` never sees.
+        """
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         process = self.ctx.Process(
             target=_worker_main,
             args=(child_conn, self.body, task.unit, task.attempt, keep),
             daemon=True,
         )
-        process.start()
-        # Close the parent's copy of the child end so a dead worker reads
-        # as EOF instead of a wait that never returns.
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn, keep=keep)
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
+        try:
+            process.start()
+            # Close the parent's copy of the child end so a dead worker
+            # reads as EOF instead of a wait that never returns.
+            child_conn.close()
+            worker = _Worker(process=process, conn=parent_conn, keep=keep, task=task)
+            live.append(worker)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        return worker
 
     def _receive(self, worker: _Worker, live: List[_Worker]) -> tuple:
         """The worker's report; a pipe closed without one is a crash."""

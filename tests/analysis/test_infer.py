@@ -24,6 +24,7 @@ from repro.styles.axes import (
     Driver,
     Dup,
     Flow,
+    GpuReduction,
     Model,
     OmpSchedule,
     Update,
@@ -208,3 +209,20 @@ class TestReductionFromStructure:
         inferred = infer_axes(alg, Model.OPENMP, parse_source(text))
         assert inferred["cpu_reduction"] is CpuReduction.CLAUSE
         assert errors_of(spec, text) == []
+
+
+class TestBlockAddFromStructure:
+    """A block-scoped reduction is an ``atomicAdd_block`` call the IR's
+    atomic scanner records, not any text that contains that name."""
+
+    @pytest.mark.parametrize("alg", [Algorithm.PR, Algorithm.TC],
+                             ids=lambda a: a.value)
+    def test_renamed_block_atomic_is_not_a_block_reduction(self, alg):
+        spec = spec_for(alg, Model.CUDA,
+                        gpu_reduction=GpuReduction.BLOCK_ADD)
+        text = generate_source(spec)
+        assert infer_axes(alg, Model.CUDA, parse_source(text))[
+            "gpu_reduction"] is GpuReduction.BLOCK_ADD
+        text = mutate(text, "atomicAdd_block(", "atomicAdd_blockQ(")
+        inferred = infer_axes(alg, Model.CUDA, parse_source(text))
+        assert inferred["gpu_reduction"] is GpuReduction.GLOBAL_ADD

@@ -183,45 +183,6 @@ class TestBlockSupervision:
         assert not results.failures
         assert run_signature(results) == run_signature(clean)
 
-    def test_worker_killed_while_attached_to_shm_plane(
-        self, monkeypatch, clean
-    ):
-        # The worker dies *after* attaching to the shared-memory graph
-        # plane.  The contract under test: a dying attacher never unlinks
-        # the published segments (the supervisor owns them), so retries,
-        # sibling workers, and the serial fallback still attach — and the
-        # sweep finishes with no leaked /dev/shm segments.
-        import os
-
-        shm_dir = "/dev/shm"
-        before = set(os.listdir(shm_dir)) if os.path.isdir(shm_dir) else None
-        arm(monkeypatch, {
-            "action": "kill-attached",
-            "algorithm": "pr", "graph": "USA-road-d.NY",
-        })
-        results = run_sweep_parallel(
-            REDUCED, workers=2,
-            max_retries=1, retry_backoff=0.0,
-        )
-        assert not results.failures
-        assert run_signature(results) == run_signature(clean)
-        if before is not None:
-            leaked = set(os.listdir(shm_dir)) - before
-            assert not leaked
-
-    def test_worker_killed_while_attached_recovers_on_retry(
-        self, monkeypatch, clean
-    ):
-        # Only the first attempt dies: the retried worker re-attaches to
-        # the same still-published segments and completes normally.
-        arm(monkeypatch, {
-            "action": "kill-attached", "algorithm": "bfs",
-            "graph": "soc-LiveJournal1", "attempts": [0],
-        })
-        results = run_sweep_parallel(REDUCED, workers=2, retry_backoff=0.0)
-        assert not results.failures
-        assert run_signature(results) == run_signature(clean)
-
     def test_hung_block_hits_the_timeout(self, monkeypatch, clean):
         arm(monkeypatch, {
             "action": "hang", "algorithm": "bfs", "graph": "soc-LiveJournal1",
@@ -446,24 +407,6 @@ class TestSupervisionConfig:
             resolve_block_timeout(None)
         with pytest.raises(ValueError):
             resolve_block_timeout(-1.0)
-
-    def test_broken_process_pool_reports_clean_cli_error(
-        self, monkeypatch, capsys
-    ):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.bench import parallel
-        from repro.cli.main import main
-
-        def boom(*args, **kwargs):
-            raise BrokenProcessPool("worker died")
-
-        monkeypatch.setattr(parallel, "run_sweep_parallel", boom)
-        rc = main(["--scale", "tiny", "sweep", "--algorithm", "bfs"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "worker process died" in err
-        assert "Traceback" not in err
 
 
 class TestCliFaultTolerance:

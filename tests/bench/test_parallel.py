@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine, batched timing, and the
 content-addressed result cache."""
 
+import os
 import pickle
 
 import pytest
@@ -17,7 +18,7 @@ from repro.bench import (
     sweep_cache_path,
 )
 from repro.bench.parallel import resolve_workers, run_block_outcome
-from repro.graph import load_dataset
+from repro.graph import CSRGraph, DatasetSpec, load_dataset
 from repro.machine import (
     CPUModel,
     GPUModel,
@@ -138,11 +139,44 @@ class TestParallelSweep:
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_custom_graphs_ship_to_workers(self):
-        graphs = {"custom": load_dataset("USA-road-d.NY", "tiny")}
+        # "USA-road-d.NY" names a registry input, but its arrays here are
+        # another graph's: a worker that rebuilt from the registry would
+        # produce different runs.
+        registry = load_dataset("USA-road-d.NY", "tiny")
+        impostor = load_dataset("soc-LiveJournal1", "tiny")
+        assert impostor.fingerprint() != registry.fingerprint()
+        graphs = {
+            "custom": registry,
+            "USA-road-d.NY": CSRGraph(
+                impostor.row_ptr, impostor.col_idx, impostor.weights,
+                name="USA-road-d.NY",
+            ),
+        }
         config = SweepConfig(scale="tiny", algorithms=(Algorithm.BFS,))
         serial = run_sweep(config, graphs=graphs)
-        parallel = run_sweep_parallel(config, workers=2, graphs=graphs)
-        assert run_signature(parallel) == run_signature(serial)
+        for workers in (2, 8):  # whole blocks, then semantic shards
+            parallel = run_sweep_parallel(
+                config, workers=workers, graphs=graphs
+            )
+            assert run_signature(parallel) == run_signature(serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_builds_each_named_input_once_in_the_supervisor(
+        self, workers, monkeypatch, tmp_path
+    ):
+        log = tmp_path / "builds"
+        build = DatasetSpec.build
+
+        def logged(spec, scale="default"):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {spec.name}\n")
+            return build(spec, scale)
+
+        monkeypatch.setattr(DatasetSpec, "build", logged)
+        run_sweep_parallel(REDUCED, workers=workers)
+        assert sorted(log.read_text().splitlines()) == sorted(
+            f"{os.getpid()} {name}" for name in REDUCED.graphs
+        )
 
     def test_resolve_workers(self, monkeypatch):
         assert resolve_workers(3) == 3
@@ -153,15 +187,24 @@ class TestParallelSweep:
 
 
 class TestSemanticShards:
-    """Sharded (shm-backed) blocks must be invisible in the results."""
+    """Sharded blocks must be invisible in the results."""
 
-    def test_shard_blocks_splits_only_shm_backed_blocks(self):
+    def test_shard_blocks_splits_every_block_when_workers_outnumber_them(
+        self,
+    ):
         from repro.bench import shard_blocks
 
         blocks = partition_blocks(REDUCED)
-        # No shm handle: blocks must pass through untouched even with
-        # surplus workers (rebuilding the graph per shard is a net loss).
-        assert shard_blocks(blocks, workers=32) == blocks
+        assert shard_blocks(blocks, workers=len(blocks)) == blocks
+        shards = shard_blocks(blocks, workers=len(blocks) + 1)
+        for block in blocks:
+            mine = [
+                s for s in shards
+                if (s.algorithm, s.graph_name)
+                == (block.algorithm, block.graph_name)
+            ]
+            assert len(mine) > 1
+            assert all(s.graph is block.graph for s in mine)
 
     def test_sharded_parallel_matches_serial(self):
         serial = run_sweep(REDUCED)
@@ -173,15 +216,8 @@ class TestSemanticShards:
         from dataclasses import replace
 
         from repro.bench import semantic_shard_order
-        from repro.graph.shm import SharedArraySpec, SharedGraphHandle
 
         block = partition_blocks(REDUCED)[0]
-        dummy = SharedArraySpec(segment="x", shape=(1,), dtype="<i8")
-        handle = SharedGraphHandle(
-            graph_name=block.graph_name, fingerprint="f",
-            row_ptr=dummy, col_idx=dummy, weights=None,
-        )
-        block = replace(block, shm_handle=handle)
         n = 3
         shards = [replace(block, shard=s, n_shards=n) for s in range(n)]
         order = semantic_shard_order(block.algorithm, block.models)
@@ -198,12 +234,6 @@ class TestSemanticShards:
                     order[spec.semantic_key()] % n == s for spec in piece
                 )
 
-    def test_plane_disabled_still_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        serial = run_sweep(REDUCED)
-        parallel = run_sweep_parallel(REDUCED, workers=4)
-        assert run_signature(parallel) == run_signature(serial)
-
 
 class TestWorkStealing:
     """Shards pulled by idle workers must be invisible in the results:
@@ -211,22 +241,9 @@ class TestWorkStealing:
     count."""
 
     def test_fine_sharding_is_worker_count_independent(self):
-        from dataclasses import replace
-
         from repro.bench import semantic_shard_order, shard_blocks
-        from repro.graph.shm import SharedArraySpec, SharedGraphHandle
 
-        dummy = SharedArraySpec(segment="x", shape=(1,), dtype="<i8")
-        blocks = [
-            replace(
-                block,
-                shm_handle=SharedGraphHandle(
-                    graph_name=block.graph_name, fingerprint="f",
-                    row_ptr=dummy, col_idx=dummy, weights=None,
-                ),
-            )
-            for block in partition_blocks(REDUCED)
-        ]
+        blocks = partition_blocks(REDUCED)
         fine_8 = shard_blocks(blocks, workers=8)
         fine_32 = shard_blocks(blocks, workers=32)
         # The sharding must not depend on the worker count.

@@ -1,10 +1,11 @@
-"""SIGTERM handling in the parallel sweep supervisor.
+"""SIGTERM and SIGINT handling in the parallel sweep supervisor and the CLI.
 
 A containerized shutdown delivers SIGTERM, not SIGINT; the supervisor
 must treat both identically — clean worker teardown, the finished
 blocks' traces kept in the trace store for a re-run — instead of dying
-mid-write with leaked children.  Exercised end to end in a subprocess,
-since signal dispositions are process-global.
+mid-write with leaked children.  The CLI reports either as one line, not
+a traceback.  Exercised end to end in subprocesses, since signal
+dispositions are process-global.
 """
 
 import json
@@ -95,6 +96,42 @@ def test_sigterm_takes_the_clean_interrupt_path(tmp_path):
     entries = int(out.split("INTERRUPTED ", 1)[1].split()[0])
     assert entries >= 1
     assert list(traces.rglob("*.tmp-*")) == []
+
+
+def test_ctrl_c_on_cli_sweep_prints_one_line_and_exits_130(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_TRACE_CACHE"] = str(tmp_path / "traces")
+    # Every USA-road-d.NY block hangs, so the sweep is still running when
+    # the signal arrives.
+    env["REPRO_FAULTS"] = json.dumps(
+        [{"action": "hang", "graph": "USA-road-d.NY"}]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--scale", "tiny", "sweep",
+         "--workers", "2"],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = proc.stderr.readline()
+        assert line.startswith("[sweep 1/"), f"unexpected: {line!r}"
+        proc.send_signal(signal.SIGINT)
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert code == 130, f"exit code {code}, stderr {err!r}"
+    assert "Traceback" not in err
+    lines = [ln for ln in err.splitlines() if not ln.startswith("[sweep ")]
+    assert lines == [
+        "interrupted: the finished blocks' traces are kept in the trace "
+        "store; run the same command again to continue the sweep"
+    ]
 
 
 def test_sigterm_context_manager_restores_previous_handler():
