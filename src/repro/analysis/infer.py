@@ -337,9 +337,24 @@ def _infer_omp_schedule(ir: SourceIR) -> OmpSchedule:
     return OmpSchedule.DEFAULT
 
 
+#: the step clause of a ``for`` header: ``for (init; test; step)``
+_FOR_STEP_RE = re.compile(r"for\s*\([^;]*;[^;]*;([^)]*)\)")
+
+
 def _infer_cpp_schedule(ir: SourceIR) -> CppSchedule:
-    if "beg_it" in ir.region_bodies():
-        return CppSchedule.BLOCKED
+    # A thread walks a blocked range one item at a time and a cyclic one
+    # with a ``+= NTHREADS`` stride.  One blocked item loop decides: some
+    # regions, such as PR's atomic push, stride cyclically under either
+    # schedule.
+    for region in ir.regions:
+        for loop in region.loops:
+            if loop.depth or not loop.var:
+                continue
+            m = _FOR_STEP_RE.match(loop.header)
+            step = "".join(m.group(1).split()) if m else ""
+            var = loop.var
+            if step in (f"{var}++", f"++{var}", f"{var}+=1"):
+                return CppSchedule.BLOCKED
     return CppSchedule.CYCLIC
 
 

@@ -498,9 +498,10 @@ def run_sweep(
             lambda model: enumerate_specs(algorithm, model),
             config.devices_for,
         )
-        for graph in graphs.values():
+        for graph_key, graph in graphs.items():
             for run in sweep_block_runs(
                 launcher, specs, graph, devices, failures=results.failures,
+                graph_label=graph_key,
             ):
                 results.add(run)
             launcher.release(graph, algorithm)
@@ -536,6 +537,7 @@ def sweep_block_runs(
     graph: CSRGraph,
     devices: Sequence[DeviceSpec],
     failures: Optional[List[FailedRun]] = None,
+    graph_label: Optional[str] = None,
 ) -> Iterator[RunResult]:
     """Runs of one (specs, graph) block over its devices, batched.
 
@@ -550,7 +552,13 @@ def sweep_block_runs(
     or execution fails is recorded there as a :class:`FailedRun` per
     affected (spec, device) cell and skipped, instead of aborting the
     whole block.
+
+    Runs and failures name the graph ``graph_label`` (by default
+    ``graph.name``): a sweep passes the key its ``graphs`` mapping holds
+    the graph under, so results select by the caller's names.
     """
+    if graph_label is None:
+        graph_label = graph.name
     on_error = None
     if failures is not None:
         def on_error(spec, device, exc):
@@ -558,13 +566,15 @@ def sweep_block_runs(
                 FailedRun.from_exception(
                     exc,
                     algorithm=spec.algorithm.value,
-                    graph=graph.name,
+                    graph=graph_label,
                     spec_label=spec.label(),
                     model=spec.model.value,
                     device=device.name,
                 )
             )
-    per_device = launcher.run_matrix(specs, graph, devices, on_error=on_error)
+    per_device = launcher.run_matrix(
+        specs, graph, devices, on_error=on_error, graph_label=graph_label
+    )
     for i in range(len(specs)):
         for batch in per_device:
             run = batch[i]

@@ -262,7 +262,8 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
     )
     outcome.runs.extend(
         sweep_block_runs(
-            launcher, specs, graph, devices, failures=outcome.failures
+            launcher, specs, graph, devices, failures=outcome.failures,
+            graph_label=block.graph_name,
         )
     )
     launcher.release(graph, block.algorithm)

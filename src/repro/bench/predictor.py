@@ -1014,10 +1014,10 @@ def run_sweep_predicted(
         per_model_specs = {
             model: enumerate_specs(algorithm, model) for model in config.models
         }
-        for graph in graphs.values():
+        for graph_key, graph in graphs.items():
             gfeat = _props_features(graph, feature_memo)
             for run in _predicted_block(
-                launcher, algorithm, per_model_specs, graph, gfeat,
+                launcher, algorithm, per_model_specs, graph, graph_key, gfeat,
                 config, settings, predictor, results.failures, summary,
             ):
                 results.add(run)
@@ -1032,6 +1032,7 @@ def _predicted_block(
     algorithm: Algorithm,
     per_model_specs: Dict[Model, List[StyleSpec]],
     graph: CSRGraph,
+    graph_label: str,
     gfeat: Mapping[str, float],
     config: SweepConfig,
     settings: PredictSettings,
@@ -1039,7 +1040,12 @@ def _predicted_block(
     failures: List[FailedRun],
     summary: PredictionSummary,
 ):
-    """Plan, execute, back-fill, and account one (algorithm, graph) block."""
+    """Plan, execute, back-fill, and account one (algorithm, graph) block.
+
+    Runs, cell statistics and failures name the graph ``graph_label``, the
+    key the caller's ``graphs`` mapping holds it under; the audit sample
+    is seeded by ``graph.name``, so the key changes only the labels.
+    """
     # -- plan: per-cell variant selection ------------------------------
     plans = []  # (model, devices, specs, P, per-device (chosen, audit))
     for model, specs in per_model_specs.items():
@@ -1116,7 +1122,8 @@ def _predicted_block(
         exec_specs = [specs[i] for i in sorted(exec_index_set)]
         measured: Dict[Tuple[StyleSpec, str], RunResult] = {}
         for run in sweep_block_runs(
-            launcher, exec_specs, graph, devices, failures=failures
+            launcher, exec_specs, graph, devices, failures=failures,
+            graph_label=graph_label,
         ):
             measured[(run.spec, run.device)] = run
         audited_by_device = {
@@ -1146,7 +1153,7 @@ def _predicted_block(
             device.name: CellPrediction(
                 algorithm=algorithm.value,
                 model=model.value,
-                graph=graph.name,
+                graph=graph_label,
                 device=device.name,
                 n_variants=len(specs),
                 n_measured=0,
@@ -1184,7 +1191,7 @@ def _predicted_block(
                 yield RunResult(
                     spec=spec,
                     device=device.name,
-                    graph=graph.name,
+                    graph=graph_label,
                     seconds=seconds,
                     throughput_ges=graph.n_edges / seconds / 1e9,
                     verified=False,
@@ -1223,7 +1230,7 @@ def _predicted_block(
                 failures.append(
                     FailedRun(
                         algorithm=algorithm.value,
-                        graph=graph.name,
+                        graph=graph_label,
                         error_class=ErrorClass.VERIFICATION,
                         message=message,
                         digest=error_digest(ErrorClass.VERIFICATION, message),

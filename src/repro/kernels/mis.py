@@ -11,6 +11,10 @@ completes without events joins the set.  The early exit is why the paper
 observes that "the MIS code typically only visits a few neighbors per
 vertex" (Section 5.2) — the per-item trip counts recorded here are the real
 early-exit positions, which is what makes vertex-based MIS so well balanced.
+The simulator stops reading there too: :meth:`MISKernel._scan` gathers each
+vertex's neighbor slots in windows of a fixed doubling schedule
+(:data:`_FIRST_WINDOW` slots, then twice as many each window) and drops a
+vertex at its first event, instead of testing every slot of every list.
 
 Push-style deciders immediately mark their neighbors OUT (atomic stores,
 with real conflict accounting); pull-style vertices discover IN neighbors
@@ -44,7 +48,9 @@ UNDECIDED = np.int8(0)
 IN_SET = np.int8(1)
 OUT = np.int8(2)
 
-_NO_EVENT = np.int64(1) << np.int64(40)
+#: Neighbor slots a still-scanning vertex gathers in its first window of
+#: :meth:`MISKernel._scan`; each later window is twice as wide.
+_FIRST_WINDOW = 2
 
 
 class MISKernel:
@@ -168,39 +174,55 @@ class MISKernel:
         """Early-exit neighbor scan for the active (undecided) vertices.
 
         Returns per-item trip counts and the items that became IN / OUT.
+
+        The scan reads neighbor slots in windows of a fixed schedule
+        (:data:`_FIRST_WINDOW` slots, then twice as many each window):
+        only vertices that have not met an event yet gather their next
+        window, so the simulator reads about as many slots as the
+        simulated threads do and stops at the recorded early-exit
+        position.  A vertex's first event decides it: an IN neighbor makes
+        it OUT, a higher-priority undecided neighbor leaves it undecided,
+        and a list without events makes it IN (so does an empty list, with
+        zero trips).
         """
         deg = self._degrees[active]
-        edge_pos, owner = flat_neighbors(self.graph, active)
-        if edge_pos.size == 0:
-            # Isolated vertices join the set immediately.
-            return (
-                np.zeros(active.size, dtype=np.int64),
-                active,
-                np.empty(0, dtype=np.int64),
+        begs = self.graph.row_ptr[active]
+        pri_self = self.pri[active]
+        trips = deg.copy()  # a scan without events reads the whole list
+        stopped = np.zeros(active.size, dtype=bool)
+        became_out = np.zeros(active.size, dtype=bool)
+        scanning = np.flatnonzero(deg > 0)
+        offset, width = 0, _FIRST_WINDOW
+        while scanning.size:
+            counts = np.minimum(deg[scanning] - offset, width)
+            owner = np.repeat(np.arange(scanning.size, dtype=np.int64), counts)
+            seg_starts = np.cumsum(counts) - counts
+            slot = np.arange(owner.size, dtype=np.int64) + (
+                begs[scanning] + offset - seg_starts
+            )[owner]
+            nbrs = self._dst[slot]
+            s_nbr = read[nbrs]
+            in_event = s_nbr == IN_SET
+            event = in_event | (
+                (s_nbr == UNDECIDED) & (self.pri[nbrs] > pri_self[scanning][owner])
             )
-        nbrs = self._dst[edge_pos]
-        s_nbr = read[nbrs]
-        pri_self = self.pri[active][owner]
-        in_event = s_nbr == IN_SET
-        blocked_event = (s_nbr == UNDECIDED) & (self.pri[nbrs] > pri_self)
-        event = in_event | blocked_event
-
-        seg_starts = np.concatenate([[0], np.cumsum(deg)[:-1]])
-        within = np.arange(edge_pos.size, dtype=np.int64) - seg_starts[owner]
-        event_pos = np.where(event, within, _NO_EVENT)
-        first_event = np.full(active.size, _NO_EVENT, dtype=np.int64)
-        np.minimum.at(first_event, owner, event_pos)
-        # The OUT event must also be *first*: find the first IN-neighbor
-        # position and compare it with the first blocker position.
-        in_pos = np.where(in_event, within, _NO_EVENT)
-        first_in = np.full(active.size, _NO_EVENT, dtype=np.int64)
-        np.minimum.at(first_in, owner, in_pos)
-
-        no_event = first_event >= _NO_EVENT
-        trips = np.where(no_event, deg, np.minimum(first_event + 1, deg))
-        became_in = active[no_event]
-        became_out = active[(~no_event) & (first_in <= first_event)]
-        return trips, became_in, became_out
+            hits = np.flatnonzero(event)
+            # Slots are grouped by owner in order, so a vertex's first
+            # event is where the owner of the event slots changes.
+            first = np.ones(hits.size, dtype=bool)
+            first[1:] = owner[hits[1:]] != owner[hits[:-1]]
+            hits = hits[first]
+            who = owner[hits]
+            hit_items = scanning[who]
+            trips[hit_items] = offset + (hits - seg_starts[who]) + 1
+            stopped[hit_items] = True
+            became_out[hit_items] = in_event[hits]
+            more = deg[scanning] > offset + width
+            more[who] = False
+            scanning = scanning[more]
+            offset += width
+            width *= 2
+        return trips, active[~stopped], active[became_out]
 
     def _vertex_profile(
         self,

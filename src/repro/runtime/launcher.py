@@ -240,6 +240,7 @@ class Launcher:
         on_error: Optional[
             Callable[[StyleSpec, DeviceSpec, Exception], None]
         ] = None,
+        graph_label: Optional[str] = None,
     ) -> List[List[Optional[RunResult]]]:
         """Run many program variants across many devices in one pass.
 
@@ -264,7 +265,13 @@ class Launcher:
         list them; without it the first failure propagates.  Invalid
         specs and a spec with no device of its kind always raise — those
         are caller bugs, not sweep data.
+
+        ``graph_label`` is the name every run (and budget message) gives
+        the graph, by default ``graph.name``; a sweep passes the key it
+        holds the graph under.
         """
+        if graph_label is None:
+            graph_label = graph.name
         specs = list(specs)
         devices = list(devices)
         kinds = {isinstance(device, GPUSpec) for device in devices}
@@ -366,13 +373,14 @@ class Launcher:
                         try:
                             self.budget.check_seconds(
                                 cell,
-                                label=f"{specs[i].label()} on {graph.name}",
+                                label=f"{specs[i].label()} on {graph_label}",
                             )
                         except BudgetExceeded as exc:
                             fail(errors[g], [(d, i)], exc)
                             continue
                     out[d][i] = self._result(
-                        specs[i], graph, devices[d], results[t], cell
+                        specs[i], graph, graph_label, devices[d], results[t],
+                        cell,
                     )
         for group_errors in errors:
             for d, i, exc in group_errors:
@@ -383,6 +391,7 @@ class Launcher:
         self,
         spec: StyleSpec,
         graph: CSRGraph,
+        graph_label: str,
         device: DeviceSpec,
         result: KernelResult,
         seconds: float,
@@ -390,7 +399,7 @@ class Launcher:
         return RunResult(
             spec=spec,
             device=device.name,
-            graph=graph.name,
+            graph=graph_label,
             seconds=seconds,
             throughput_ges=graph.n_edges / seconds / 1e9,
             verified=self.verify,

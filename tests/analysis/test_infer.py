@@ -19,6 +19,7 @@ from repro.codegen import generate_source
 from repro.styles.axes import (
     AXIS_FIELDS,
     Algorithm,
+    CppSchedule,
     CpuReduction,
     Determinism,
     Driver,
@@ -226,3 +227,34 @@ class TestBlockAddFromStructure:
         text = mutate(text, "atomicAdd_block(", "atomicAdd_blockQ(")
         inferred = infer_axes(alg, Model.CUDA, parse_source(text))
         assert inferred["gpu_reduction"] is GpuReduction.GLOBAL_ADD
+
+
+class TestScheduleFromStructure:
+    """A C++ thread's schedule is its item loop's step: one item at a time
+    is a blocked range, a ``+= NTHREADS`` stride is cyclic.  The names of
+    the range bounds carry no evidence."""
+
+    @staticmethod
+    def schedule(text):
+        ir = parse_source(text)
+        return infer_axes(Algorithm.BFS, Model.CPP_THREADS, ir)["cpp_schedule"]
+
+    @pytest.mark.parametrize("name", ["beg_itQ", "first_it"])
+    def test_renamed_range_start_still_reads_blocked(self, name):
+        spec = spec_for(Algorithm.BFS, Model.CPP_THREADS,
+                        cpp_schedule=CppSchedule.BLOCKED)
+        text = generate_source(spec)
+        assert self.schedule(text) is CppSchedule.BLOCKED
+        text = mutate(text, "beg_it", name, count=2)
+        assert self.schedule(text) is CppSchedule.BLOCKED
+        assert errors_of(spec, text) == []
+
+    def test_unused_range_name_does_not_read_blocked(self):
+        spec = spec_for(Algorithm.BFS, Model.CPP_THREADS,
+                        cpp_schedule=CppSchedule.CYCLIC)
+        text = mutate(
+            generate_source(spec),
+            "parallel_step([&](int tid) {",
+            "parallel_step([&](int tid) {\n      const int beg_it = tid;",
+        )
+        assert self.schedule(text) is CppSchedule.CYCLIC

@@ -26,7 +26,7 @@ from repro.machine import (
     THREADRIPPER_2950X,
     model_for_device,
 )
-from repro.runtime import Launcher
+from repro.runtime import Launcher, VerificationError
 from repro.styles import Algorithm, Model, enumerate_specs
 from tests.machine import scalar_oracle
 
@@ -159,6 +159,29 @@ class TestParallelSweep:
                 config, workers=workers, graphs=graphs
             )
             assert run_signature(parallel) == run_signature(serial)
+
+    def test_runs_and_failures_are_labelled_by_graph_key(self, monkeypatch):
+        # The key, not ``CSRGraph.name``, names the graph in every run and
+        # failure, in process and in forked workers alike.
+        graphs = {"custom": load_dataset("USA-road-d.NY", "tiny")}
+        config = SweepConfig(scale="tiny", algorithms=(Algorithm.BFS,))
+        broken = enumerate_specs(Algorithm.BFS, Model.CUDA)[0].semantic_key()
+        execute = Launcher.execute_semantic
+
+        def failing(self, spec, graph):
+            if spec.semantic_key() == broken:
+                raise VerificationError("injected")
+            return execute(self, spec, graph)
+
+        monkeypatch.setattr(Launcher, "execute_semantic", failing)
+        serial = run_sweep(config, graphs=graphs)
+        assert serial.runs and serial.failures
+        assert {r.graph for r in serial.runs} == {"custom"}
+        assert {f.graph for f in serial.failures} == {"custom"}
+        assert len(list(serial.select(graphs=["custom"]))) == len(serial.runs)
+        parallel = run_sweep_parallel(config, workers=2, graphs=graphs)
+        assert run_signature(parallel) == run_signature(serial)
+        assert parallel.failures == serial.failures
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_builds_each_named_input_once_in_the_supervisor(

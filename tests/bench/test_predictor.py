@@ -36,6 +36,7 @@ from repro.bench.harness import StudyResults
 from repro.bench.predictor import PREDICTOR_ENV, feature_names
 from repro.bench.tracestore import TraceStore
 from repro.cli.main import main
+from repro.graph import load_dataset
 from repro.styles import Algorithm, Model
 
 pytestmark = pytest.mark.predictor
@@ -187,6 +188,22 @@ def test_pruned_sweep_backfills_every_variant(artifact, monkeypatch):
     for run in pruned.runs:
         if not run.predicted:
             assert run == exhaustive_by_key[(run.spec.label(), run.device)]
+
+
+def test_predicted_runs_are_labelled_by_graph_key(artifact, monkeypatch):
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    config = _gate_config(
+        PredictSettings(top_k=4, audit_frac=0.1, model_path=str(artifact))
+    )
+    by_name = run_sweep(config)
+    by_key = run_sweep(
+        config, graphs={"custom": load_dataset("USA-road-d.NY", "tiny")}
+    )
+    assert {cell.graph for cell in by_key.prediction.cells} == {"custom"}
+    # Only the label differs.
+    assert by_key.runs == [
+        dataclasses.replace(run, graph="custom") for run in by_name.runs
+    ]
 
 
 def test_uncovered_cell_measures_exhaustively(training_set, monkeypatch):

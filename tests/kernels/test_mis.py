@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import from_edge_list, grid2d
+from repro.graph import from_edge_list, grid2d, load_dataset
 from repro.kernels import (
     MISKernel,
     is_maximal_independent_set,
@@ -121,3 +121,48 @@ class TestTraceShape:
         labels = [p.label for p in result.trace.profiles]
         assert labels.count("mis-edge") == labels.count("mis-join")
         assert result.trace.iterations == labels.count("mis-join")
+
+
+class CountingIndex(np.ndarray):
+    """An array that counts the elements its fancy indexing gathers."""
+
+    gathered = 0
+
+    def __getitem__(self, index):
+        out = np.asarray(super().__getitem__(index))
+        if isinstance(index, np.ndarray):
+            CountingIndex.gathered += index.size
+        return out
+
+
+class TestScanGathers:
+    def test_gathered_slots_track_recorded_trips(self, monkeypatch):
+        """The scan stops reading where the simulated threads stop: over the
+        vertex-based variants on the LiveJournal stand-in it gathers at most
+        twice the trips it records (a full scan gathers about 4.5x)."""
+        graph = load_dataset("soc-LiveJournal1", "tiny")
+        scan = MISKernel._scan
+        recorded = []
+
+        def counting_scan(self, read, active):
+            plain = self._dst
+            self._dst = plain.view(CountingIndex)
+            try:
+                trips, became_in, became_out = scan(self, read, active)
+            finally:
+                self._dst = plain
+            recorded.append(int(trips.sum()))
+            return trips, became_in, became_out
+
+        monkeypatch.setattr(MISKernel, "_scan", counting_scan)
+        monkeypatch.setattr(CountingIndex, "gathered", 0)
+        keys = {
+            s.semantic_key()
+            for s in all_semantics()
+            if s.iteration is Iteration.VERTEX
+        }
+        assert len(keys) == 8
+        for key in keys:
+            MISKernel(graph).run(key)
+        assert sum(recorded) > 0
+        assert CountingIndex.gathered <= 2 * sum(recorded)
