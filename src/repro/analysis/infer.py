@@ -323,8 +323,15 @@ def _infer_cpu_reduction(ir: SourceIR, model: Model) -> CpuReduction:
                 ):
                     return CpuReduction.CRITICAL
         return CpuReduction.ATOMIC
-    body = ir.region_bodies()
-    if "local_acc" in body:
+    # The clause equivalent adds a per-thread partial, a local the thread
+    # declares before its item loop, to the shared accumulator once.
+    if any(
+        a.kind is AccessKind.ATOMIC_RMW
+        and a.index_class is IndexClass.SCALAR
+        and a.rhs in r.thread_locals
+        for r in ir.regions
+        for a in r.accesses
+    ):
         return CpuReduction.CLAUSE
     if any(a.guard is Guard.MUTEX for r in ir.regions for a in r.accesses):
         return CpuReduction.CRITICAL

@@ -320,7 +320,9 @@ class ArrayAccess:
     index_class: IndexClass
     guard: Guard
     line: int
-    rhs: str = ""  #: stored expression for writes ("" otherwise)
+    #: stored expression for writes, the operand of an atomic call
+    #: (``atomic_fetch_add(&acc, local_acc)``: ``local_acc``), else ""
+    rhs: str = ""
     condition: str = ""  #: innermost enclosing ``if`` header text
 
     @property
@@ -358,6 +360,8 @@ class ParallelRegion:
     accesses: List[ArrayAccess] = field(default_factory=list)
     env: Dict[str, str] = field(default_factory=dict)
     locals: set = field(default_factory=set)
+    #: the locals declared before the item loop: one per thread, not per item
+    thread_locals: set = field(default_factory=set)
     #: atomic intrinsics the region calls (``atomicAdd_block``, ...)
     atomic_calls: set = field(default_factory=set)
     body: str = ""  #: flattened statement text (joined, for call/guard probes)
@@ -533,6 +537,7 @@ _METHOD_NAME_RE = re.compile(
     r"\.\s*(fetch_min|fetch_add|fetch_max|exchange|compare_exchange_weak"
     r"|store|load)\s*\("
 )
+_NEXT_ARG_RE = re.compile(r"\s*,")
 _PLAIN_ARRAY_RE = re.compile(r"\b(\w+)\s*\[")
 _LVALUE_HEAD_RE = re.compile(r"^\s*\*?\s*([\w.]+)")
 _WRITE_OP_RE = re.compile(r"\s*(\+\+|(?:[+\-*/|&^])?=(?!=))")
@@ -566,9 +571,28 @@ def _scan_bracket(text: str, start: int) -> Optional[int]:
     return None
 
 
+def _call_operand(text: str, pos: int) -> str:
+    """The call argument after the one that ends at ``pos`` ("" if none)."""
+    m = _NEXT_ARG_RE.match(text, pos)
+    if not m:
+        return ""
+    depth = 0
+    for i in range(m.end(), len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            if not depth:
+                return text[m.end():i].strip()
+            depth -= 1
+        elif ch == "," and not depth:
+            return text[m.end():i].strip()
+    return ""
+
+
 def _iter_atomic_calls(text: str):
-    """Yield ``(intrinsic, target, bracket, span, call_start)`` for every
-    atomic intrinsic call."""
+    """Yield ``(intrinsic, target, bracket, operand, span, call_start)``
+    for every atomic intrinsic call."""
     for m in _ATOMIC_HEAD_RE.finditer(text):
         bracket = None
         end = m.end()
@@ -580,7 +604,11 @@ def _iter_atomic_calls(text: str):
         # Leave the index sub-expression outside the consumed span so the
         # read pass still records arrays mentioned inside it.
         span_end = m.end() + 1 if bracket else end
-        yield m.group(1), m.group(2), bracket, (m.start(), span_end), m.start()
+        operand = _call_operand(text, end)
+        yield (
+            m.group(1), m.group(2), bracket, operand, (m.start(), span_end),
+            m.start(),
+        )
 
 
 def _iter_method_calls(text: str):
@@ -701,6 +729,8 @@ class _RegionBuilder:
     def note_declarations(self, stmt_text: str) -> None:
         for name in _declared_names(stmt_text):
             self.region.locals.add(name)
+            if self.region.item_var is None:
+                self.region.thread_locals.add(name)
 
     def note_assignments(self, stmt_text: str, guard: Guard) -> None:
         for lhs, rhs in _assignments(stmt_text):
@@ -782,8 +812,8 @@ class _RegionBuilder:
         consumed_spans: List[Tuple[int, int]] = []
 
         # 1) atomic call forms
-        for intrinsic, target, bracket, span, call_start in _iter_atomic_calls(
-            text
+        for intrinsic, target, bracket, operand, span, call_start in (
+            _iter_atomic_calls(text)
         ):
             self.region.atomic_calls.add(intrinsic)
             kind = AccessKind.ATOMIC_RMW
@@ -793,7 +823,8 @@ class _RegionBuilder:
             ):
                 kind = AccessKind.CAPTURE
             self.add_access(
-                target, bracket, kind, guard, line, condition=condition
+                target, bracket, kind, guard, line, rhs=operand,
+                condition=condition,
             )
             consumed_spans.append(span)
 

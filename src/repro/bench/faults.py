@@ -39,8 +39,8 @@ Each rule is an object with:
     For ``"verify"``: which model's enumeration (default: the block's
     first) and which variant index within it fails.
 
-Workers set ``$REPRO_FAULTS_IN_WORKER`` so ``kill`` knows it is safe to
-exit the process.
+``kill`` and ``kill-executor`` read :func:`repro.runtime.workers.in_worker`
+to know it is safe to exit the process.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..runtime.verify import VerificationError
+from ..runtime.workers import in_worker
 
 __all__ = [
     "FAULTS_ENV",
-    "WORKER_ENV",
     "FaultInjected",
     "FaultRule",
     "active_rules",
@@ -67,9 +67,6 @@ __all__ = [
 
 #: JSON fault plan; unset/empty means no injection.
 FAULTS_ENV = "REPRO_FAULTS"
-
-#: Set (to any value) in supervised worker processes.
-WORKER_ENV = "REPRO_FAULTS_IN_WORKER"
 
 #: How long a "hang" fault sleeps — effectively forever next to any
 #: realistic ``--block-timeout``.
@@ -151,7 +148,7 @@ def inject_block_fault(algorithm: str, graph: str, attempt: int) -> None:
             )
         if rule.action == "hang":
             time.sleep(HANG_SECONDS)
-        elif rule.action == "kill" and os.environ.get(WORKER_ENV):
+        elif rule.action == "kill" and in_worker():
             os._exit(99)
 
 
@@ -172,7 +169,7 @@ def inject_executor_fault(algorithm: str, graph: str, attempt: int) -> None:
             continue
         if rule.action == "hang-request":
             time.sleep(HANG_SECONDS)
-        elif os.environ.get(WORKER_ENV):
+        elif in_worker():
             os._exit(97)
 
 
@@ -204,7 +201,7 @@ def apply_verify_faults(launcher, block, attempt: int) -> None:
         from ..styles.axes import Model
         from ..styles.combos import enumerate_specs
 
-        model = Model(rule.model) if rule.model else block.models[0]
+        model = Model(rule.model) if rule.model else block.config.models[0]
         specs = enumerate_specs(block.algorithm, model)
         targets.add(specs[rule.spec_index % len(specs)].semantic_key())
     if not targets:

@@ -34,14 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .tracestore import TraceStore
 
 from ..graph.csr import CSRGraph
-from ..graph.datasets import load_all
 from ..machine.devices import CPUS, GPUS
 from ..machine.specs import CPUSpec, GPUSpec
 from ..runtime.budget import ResourceBudget
 from ..runtime.errors import FailedRun
 from ..runtime.launcher import Launcher, RunResult
 from ..styles.axes import AXIS_FIELDS, Algorithm, Model
-from ..styles.combos import enumerate_specs
 from ..styles.spec import StyleSpec
 
 __all__ = [
@@ -326,28 +324,14 @@ class StudyResults:
     _index: Dict[Tuple[StyleSpec, str, str], RunResult] = field(
         default_factory=dict, repr=False
     )
-    #: Secondary indices: run positions per key, so `select` scans only the
-    #: narrowest matching subset instead of every run (the analysis layer
-    #: calls it thousands of times per figure).
-    _by_algorithm: Dict[Algorithm, List[int]] = field(
-        default_factory=dict, repr=False
-    )
-    _by_model: Dict[Model, List[int]] = field(default_factory=dict, repr=False)
-    _by_device: Dict[str, List[int]] = field(default_factory=dict, repr=False)
-    _by_graph: Dict[str, List[int]] = field(default_factory=dict, repr=False)
     #: The derived column view (see :meth:`columns`); never pickled.
     _columns: Optional[StudyColumns] = field(
         default=None, repr=False, compare=False
     )
 
     def add(self, run: RunResult) -> None:
-        position = len(self.runs)
         self.runs.append(run)
         self._index[(run.spec, run.device, run.graph)] = run
-        self._by_algorithm.setdefault(run.spec.algorithm, []).append(position)
-        self._by_model.setdefault(run.spec.model, []).append(position)
-        self._by_device.setdefault(run.device, []).append(position)
-        self._by_graph.setdefault(run.graph, []).append(position)
 
     def columns(self) -> StudyColumns:
         """The runs as a :class:`StudyColumns` view: built on first use
@@ -382,49 +366,11 @@ class StudyResults:
         graphs: Optional[Iterable[str]] = None,
     ) -> Iterator[RunResult]:
         """Iterate runs matching all provided filters (in run order)."""
-        algorithms = None if algorithms is None else set(algorithms)
-        models = None if models is None else set(models)
-        devices = None if devices is None else set(devices)
-        graphs = None if graphs is None else set(graphs)
-        candidates = self._candidates(algorithms, models, devices, graphs)
-        for run in candidates:
-            if algorithms is not None and run.spec.algorithm not in algorithms:
-                continue
-            if models is not None and run.spec.model not in models:
-                continue
-            if devices is not None and run.device not in devices:
-                continue
-            if graphs is not None and run.graph not in graphs:
-                continue
-            yield run
-
-    def _candidates(self, algorithms, models, devices, graphs) -> Iterable[RunResult]:
-        """Runs from the narrowest secondary index covering a given filter
-        (all runs when no filter is provided)."""
-        best: Optional[List[List[int]]] = None
-        best_size = -1
-        for index, keys in (
-            (self._by_algorithm, algorithms),
-            (self._by_model, models),
-            (self._by_device, devices),
-            (self._by_graph, graphs),
-        ):
-            if keys is None:
-                continue
-            lists = [index.get(key, []) for key in keys]
-            size = sum(len(lst) for lst in lists)
-            if best is None or size < best_size:
-                best, best_size = lists, size
-        if best is None:
-            return self.runs
-        if len(best) == 1:
-            positions: Iterable[int] = best[0]
-        else:
-            # Each position appears under exactly one key of a field, so
-            # the union is a disjoint merge of sorted lists.
-            positions = sorted(pos for lst in best for pos in lst)
+        rows = self.columns().rows(
+            algorithms=algorithms, models=models, devices=devices, graphs=graphs
+        )
         runs = self.runs
-        return (runs[pos] for pos in positions)
+        return (runs[i] for i in rows)
 
     def add_failure(self, failure: FailedRun) -> None:
         self.failures.append(failure)
@@ -461,52 +407,32 @@ class StudyResults:
 def run_sweep(
     config: SweepConfig = SweepConfig(),
     *,
-    launcher: Optional[Launcher] = None,
     graphs: Optional[Dict[str, CSRGraph]] = None,
 ) -> StudyResults:
-    """Run the configured sweep and return all results.
+    """Run the configured sweep in this process and return all results.
 
     ``graphs`` may be supplied directly (e.g. custom inputs); otherwise the
     dataset stand-ins ``config.graphs`` names (default: all five) are built
     at ``config.scale``.
+
+    The blocks run in order through the sweep engine's in-process path
+    (:func:`repro.bench.parallel.run_sweep_parallel` with ``workers=1``):
+    a variant that fails costs its own grid cells and a block that fails
+    is quarantined, both into the failure manifest.
 
     With ``config.predict`` set, the sweep is delegated to the
     predict-then-verify engine (:func:`repro.bench.predictor.run_sweep_predicted`):
     only the predicted-fastest variants plus an audit sample execute, the
     rest are back-filled with predictions.
     """
+    # Imported late: both engines build on this module.
     if config.predict is not None:
-        # Imported late: the predictor builds on this module.
         from .predictor import run_sweep_predicted
 
-        return run_sweep_predicted(config, launcher=launcher, graphs=graphs)
-    if graphs is None:
-        graphs = load_all(config.scale, names=config.graphs)
-    launcher = launcher or Launcher(
-        verify=config.verify,
-        budget=config.budget(),
-        trace_store=config.trace_store(),
-    )
-    results = StudyResults(graphs=dict(graphs))
-    # Iterate (algorithm, graph) in the outer loops so the semantic traces
-    # of one block are shared across all three programming models and all
-    # devices, then released — large worklist traces would otherwise
-    # accumulate over the whole sweep.
-    for algorithm in config.algorithms:
-        specs, devices = block_grid(
-            config.models,
-            lambda model: enumerate_specs(algorithm, model),
-            config.devices_for,
-        )
-        for graph_key, graph in graphs.items():
-            for run in sweep_block_runs(
-                launcher, specs, graph, devices, failures=results.failures,
-                graph_label=graph_key,
-            ):
-                results.add(run)
-            launcher.release(graph, algorithm)
-    results.kernel_executions = launcher.kernel_executions
-    return results
+        return run_sweep_predicted(config, graphs=graphs)
+    from .parallel import run_sweep_parallel
+
+    return run_sweep_parallel(config, workers=1, graphs=graphs)
 
 
 def block_grid(

@@ -29,8 +29,8 @@ lets ``--workers`` beyond the block count keep scaling.
 
 Unlike a bare process pool, the engine *supervises* its workers:
 
-* a per-block timeout (``--block-timeout`` / ``$REPRO_BLOCK_TIMEOUT``)
-  kills hung workers instead of wedging the sweep;
+* a per-block timeout (``--block-timeout``) kills hung workers instead
+  of wedging the sweep;
 * failed, crashed, or timed-out blocks are retried with bounded
   exponential backoff, then once more in the supervisor's own process
   (the *serial fallback*, which distinguishes a worker-environment fault
@@ -52,7 +52,9 @@ The simulator is deterministic by design, so the parallel engine is
 *bit-identical* to the serial path: blocks are reassembled in the serial
 iteration order and every worker performs exactly the computations the
 serial sweep would.  ``workers=1`` executes the blocks in-process, in
-order.
+order; that is the engine behind :func:`repro.bench.run_sweep`, and the
+advisor service's sweep jobs run their blocks through
+:func:`run_block_outcome` too.
 """
 
 from __future__ import annotations
@@ -87,12 +89,6 @@ __all__ = [
     "stderr_progress",
 ]
 
-#: Environment override for the default worker count.
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-
-#: Environment override for the per-block timeout (seconds, float).
-BLOCK_TIMEOUT_ENV = "REPRO_BLOCK_TIMEOUT"
-
 #: Default number of worker retries before the serial fallback.
 DEFAULT_MAX_RETRIES = 2
 
@@ -117,48 +113,28 @@ class BlockOutcome:
 @dataclass(frozen=True)
 class SweepBlock:
     """One unit of parallel work: every variant of one algorithm on one
-    input graph, across the configured models and devices.
+    input graph, across the models and devices of the sweep's ``config``.
 
-    ``graph`` is the object the supervisor built or the caller supplied;
-    the block runs on it and never rebuilds from the dataset registry.
+    ``graph`` is the object the supervisor built or the caller supplied
+    under the key ``graph_name``; the block runs on it and never rebuilds
+    from the dataset registry.
     """
 
     algorithm: Algorithm
     graph_name: str
     graph: CSRGraph = field(compare=False)
-    scale: str
-    models: Tuple[Model, ...]
-    gpu_names: Tuple[str, ...]
-    cpu_names: Tuple[str, ...]
-    verify: bool
-    max_footprint_bytes: Optional[int] = None
-    trace_cache: bool = True
+    config: SweepConfig
     #: Which semantic shard of the block this is (see :func:`shard_blocks`);
     #: ``n_shards == 1`` means the whole block.
     shard: int = 0
     n_shards: int = 1
-
-    @property
-    def config(self) -> SweepConfig:
-        """The single-block SweepConfig this block executes."""
-        return SweepConfig(
-            scale=self.scale,
-            models=self.models,
-            algorithms=(self.algorithm,),
-            gpu_names=self.gpu_names,
-            cpu_names=self.cpu_names,
-            graphs=(self.graph_name,),
-            verify=self.verify,
-            max_footprint_bytes=self.max_footprint_bytes,
-            trace_cache=self.trace_cache,
-        )
 
     def specs_for(self, model: Model) -> List[StyleSpec]:
         """This block's program variants of one model (shard-filtered)."""
         specs = enumerate_specs(self.algorithm, model)
         if self.n_shards == 1:
             return specs
-        order = semantic_shard_order(self.algorithm, self.models)
+        order = semantic_shard_order(self.algorithm, self.config.models)
         return [
             spec
             for spec in specs
@@ -177,24 +153,11 @@ def partition_blocks(
     """
     if graphs is None:
         graphs = load_all(config.scale, names=config.graphs)
-    blocks = []
-    for algorithm in config.algorithms:
-        for name, graph in graphs.items():
-            blocks.append(
-                SweepBlock(
-                    algorithm=algorithm,
-                    graph_name=name,
-                    graph=graph,
-                    scale=config.scale,
-                    models=tuple(config.models),
-                    gpu_names=tuple(config.gpu_names),
-                    cpu_names=tuple(config.cpu_names),
-                    verify=config.verify,
-                    max_footprint_bytes=config.max_footprint_bytes,
-                    trace_cache=config.trace_cache,
-                )
-            )
-    return blocks
+    return [
+        SweepBlock(algorithm, name, graph, config)
+        for algorithm in config.algorithms
+        for name, graph in graphs.items()
+    ]
 
 
 def semantic_shard_order(
@@ -231,7 +194,7 @@ def shard_blocks(blocks: List[SweepBlock], workers: int) -> List[SweepBlock]:
     for block in blocks:
         n = 1
         if block.n_shards == 1:
-            n = len(semantic_shard_order(block.algorithm, block.models))
+            n = len(semantic_shard_order(block.algorithm, block.config.models))
         if n <= 1:
             out.append(block)
             continue
@@ -251,14 +214,14 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
     graph = block.graph
     config = block.config
     launcher = Launcher(
-        verify=block.verify,
+        verify=config.verify,
         budget=config.budget(),
         trace_store=config.trace_store(),
     )
     faults.apply_verify_faults(launcher, block, attempt)
     outcome = BlockOutcome()
     specs, devices = block_grid(
-        block.models, block.specs_for, config.devices_for
+        config.models, block.specs_for, config.devices_for
     )
     outcome.runs.extend(
         sweep_block_runs(
@@ -274,41 +237,20 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
 def resolve_workers(
     workers: Optional[int], n_blocks: Optional[int] = None
 ) -> int:
-    """Worker count: explicit argument, else ``$REPRO_SWEEP_WORKERS``, else
-    all cores capped by the number of blocks (spawning 32 workers for a
-    3-block sweep helps nobody)."""
+    """Worker count: explicit argument, else all cores capped by the
+    number of blocks (spawning 32 workers for a 3-block sweep helps
+    nobody)."""
     if workers is None:
-        default = os.cpu_count() or 1
+        workers = os.cpu_count() or 1
         if n_blocks is not None:
-            default = max(1, min(default, n_blocks))
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"${WORKERS_ENV} must be a positive integer, got {env!r}"
-                ) from None
-        else:
-            workers = default
+            workers = max(1, min(workers, n_blocks))
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
 
 
 def resolve_block_timeout(block_timeout: Optional[float]) -> Optional[float]:
-    """Per-block timeout: explicit argument, else ``$REPRO_BLOCK_TIMEOUT``,
-    else none."""
-    if block_timeout is None:
-        env = os.environ.get(BLOCK_TIMEOUT_ENV)
-        if env:
-            try:
-                block_timeout = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"${BLOCK_TIMEOUT_ENV} must be a number of seconds, "
-                    f"got {env!r}"
-                ) from None
+    """Per-block timeout: the argument (``None``: no timeout), checked."""
     if block_timeout is not None and block_timeout <= 0:
         raise ValueError("block timeout must be positive")
     return block_timeout
@@ -371,16 +313,14 @@ def run_sweep_parallel(
 ) -> StudyResults:
     """Run the configured sweep across supervised worker processes.
 
-    Bit-identical to :func:`repro.bench.run_sweep` on healthy blocks: same
-    runs, same order, same floats.  Failures — a bad variant, a crashed or
-    hung worker — are captured into the result's failure manifest instead
-    of aborting the sweep; see the module docstring for the supervision
-    policy.
+    Bit-identical at every worker count: same runs, same order, same
+    floats.  Failures — a bad variant, a crashed or hung worker — are
+    captured into the result's failure manifest instead of aborting the
+    sweep; see the module docstring for the supervision policy.
 
-    ``workers=None`` uses ``$REPRO_SWEEP_WORKERS`` or the machine's core
-    count capped by the block count; ``workers=1`` runs the blocks
-    serially in-process.  ``block_timeout=None`` reads
-    ``$REPRO_BLOCK_TIMEOUT`` (no timeout if unset).  Re-running a sweep
+    ``workers=None`` uses the machine's core count capped by the block
+    count; ``workers=1`` runs the blocks serially in-process.
+    ``block_timeout=None`` means no timeout.  Re-running a sweep
     that crashed or quarantined blocks executes kernels only for those
     blocks: the trace store holds everything the finished ones ran.
 
@@ -478,7 +418,7 @@ def _canonical_positions(
     """Serial run order of one block's (spec, device) cells."""
     config = block.config
     positions: Dict[Tuple[StyleSpec, str], int] = {}
-    for model in block.models:
+    for model in config.models:
         for spec in enumerate_specs(block.algorithm, model):
             for device in config.devices_for(model):
                 positions[(spec, device.name)] = len(positions)

@@ -956,7 +956,6 @@ def _cell_audit_rng(
 def run_sweep_predicted(
     config: SweepConfig,
     *,
-    launcher: Optional[Launcher] = None,
     graphs: Optional[Dict[str, CSRGraph]] = None,
     predictor: Optional[StylePredictor] = None,
 ) -> StudyResults:
@@ -983,9 +982,7 @@ def run_sweep_predicted(
             from .harness import run_sweep
 
             message = f"predictor unavailable ({reason}); ran exhaustively"
-            results = run_sweep(
-                replace(config, predict=None), launcher=launcher, graphs=graphs
-            )
+            results = run_sweep(replace(config, predict=None), graphs=graphs)
             results.failures.insert(
                 0,
                 FailedRun(
@@ -1001,7 +998,7 @@ def run_sweep_predicted(
             summary.model_info = {"available": False, "reason": reason}
             results.prediction = summary
             return results
-    launcher = launcher or Launcher(
+    launcher = Launcher(
         verify=config.verify,
         budget=config.budget(),
         trace_store=config.trace_store(),

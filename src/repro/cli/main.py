@@ -357,12 +357,12 @@ def _add_workers_flag(sub) -> None:
     sub.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes for the sweep "
-             "(default: $REPRO_SWEEP_WORKERS or all cores; 1 = serial)",
+             "(default: all cores, at most one per block; 1 = serial)",
     )
     sub.add_argument(
         "--block-timeout", type=float, default=None, metavar="SECONDS",
         help="kill and retry any (algorithm, graph) block that runs longer "
-             "than this (default: $REPRO_BLOCK_TIMEOUT, else no timeout)",
+             "than this (default: no timeout)",
     )
     sub.add_argument(
         "--max-retries", type=int, default=None, metavar="N",

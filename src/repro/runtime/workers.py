@@ -47,7 +47,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .errors import ErrorClass, classify_error
 
-__all__ = ["WorkerPool", "describe"]
+__all__ = ["WorkerPool", "describe", "in_worker"]
 
 #: Supervisor poll interval (seconds): bounds how late a deadline is
 #: noticed, coarse enough to stay cheap.
@@ -55,6 +55,16 @@ _TICK = 0.05
 
 #: The signals that interrupt a supervisor; held back while it forks.
 _INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
+
+#: Set in :func:`_worker_main`: each forked worker has its own copy, so
+#: the supervisor's stays false.
+_in_worker = False
+
+
+def in_worker() -> bool:
+    """Whether this process is a pool worker (fault injection may kill
+    it; see :mod:`repro.bench.faults`)."""
+    return _in_worker
 
 
 def describe(exc: BaseException) -> Tuple[ErrorClass, str]:
@@ -65,8 +75,8 @@ def describe(exc: BaseException) -> Tuple[ErrorClass, str]:
 def _worker_main(conn, body, unit, attempt: int, keep: bool) -> None:
     """Entry point of every pool worker: run the unit it was forked with,
     then (if ``keep``) each unit the parent sends, until told to stop."""
-    from ..bench.faults import WORKER_ENV
-
+    global _in_worker
+    _in_worker = True
     try:
         signal.set_wakeup_fd(-1)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -75,7 +85,6 @@ def _worker_main(conn, body, unit, attempt: int, keep: bool) -> None:
         pass
     # Forked with the interrupts held back (see ``WorkerPool._spawn``).
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
-    os.environ[WORKER_ENV] = "1"
     while True:
         try:
             report = ("ok", body(unit, attempt=attempt))

@@ -30,10 +30,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..graph.csr import CSRGraph
 from ..runtime.errors import ErrorClass
-from ..runtime.launcher import Launcher
 from ..runtime.workers import WorkerPool
 from ..styles.axes import Algorithm, Model
-from ..styles.combos import enumerate_specs
 from .errors import ENVIRONMENT_CLASSES
 
 __all__ = ["SweepJob", "JobFailed", "ExecutorPool", "execute_job_inline"]
@@ -73,42 +71,35 @@ class JobFailed(RuntimeError):
 def execute_job_inline(job: SweepJob, *, attempt: int = 1) -> dict:
     """Run one job in the current process and summarize the outcome.
 
-    This is the worker's body, importable directly so unit tests (and any
-    future in-process execution mode) can exercise the sweep logic
-    without process supervision.
+    Each requested algorithm is one sweep block over the job's graph, run
+    by the sweep engine's :func:`~repro.bench.parallel.run_block_outcome`.
+    This is the worker's body, importable directly so unit tests can
+    exercise the sweep logic without process supervision.
     """
     from ..bench import faults
-    from ..bench.harness import block_grid, sweep_block_runs
-    from ..machine.devices import CPUS, GPUS
+    from ..bench.harness import SweepConfig
+    from ..bench.parallel import partition_blocks, run_block_outcome
 
-    config_devices = {
-        model: (
-            [GPUS[name] for name in job.gpu_names]
-            if model.is_gpu
-            else [CPUS[name] for name in job.cpu_names]
-        )
-        for model in job.models
-    }
-    from ..bench.tracestore import resolve_trace_store
-
-    launcher = Launcher(
+    config = SweepConfig(
+        models=job.models,
+        algorithms=job.algorithms,
+        gpu_names=job.gpu_names,
+        cpu_names=job.cpu_names,
         verify=job.verify,
-        trace_store=resolve_trace_store(enabled=job.trace_cache) or False,
+        trace_cache=job.trace_cache,
     )
     runs = []
     failures = []
-    for algorithm in job.algorithms:
-        faults.inject_executor_fault(algorithm.value, job.graph.name, attempt)
-        specs, devices = block_grid(
-            job.models,
-            lambda model: enumerate_specs(algorithm, model),
-            config_devices.get,
+    kernel_executions = 0
+    for block in partition_blocks(config, {job.graph.name: job.graph}):
+        faults.inject_executor_fault(
+            block.algorithm.value, block.graph_name, attempt
         )
-        runs.extend(sweep_block_runs(
-            launcher, specs, job.graph, devices, failures=failures,
-        ))
-        launcher.release(job.graph, algorithm)
-    return summarize_runs(runs, failures, launcher.kernel_executions)
+        outcome = run_block_outcome(block)
+        runs.extend(outcome.runs)
+        failures.extend(outcome.failures)
+        kernel_executions += outcome.kernel_executions
+    return summarize_runs(runs, failures, kernel_executions)
 
 
 def summarize_runs(runs, failures, kernel_executions: int) -> dict:

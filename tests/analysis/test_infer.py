@@ -196,6 +196,41 @@ class TestLockFromStructure:
         ]
 
 
+class TestLocalAccFromStructure:
+    """A C++ clause-equivalent reduction adds a per-thread partial (a
+    local declared before the item loop) to the shared accumulator; the
+    partial's name carries no evidence."""
+
+    @staticmethod
+    def reduction(alg, text):
+        inferred = infer_axes(alg, Model.CPP_THREADS, parse_source(text))
+        return inferred["cpu_reduction"]
+
+    @pytest.mark.parametrize("alg", [Algorithm.PR, Algorithm.TC],
+                             ids=lambda a: a.value)
+    def test_renamed_local_acc_still_reads_clause(self, alg):
+        spec = spec_for(alg, Model.CPP_THREADS,
+                        cpu_reduction=CpuReduction.CLAUSE)
+        text = generate_source(spec)
+        assert self.reduction(alg, text) is CpuReduction.CLAUSE
+        text = mutate(text, "local_acc", "partial", count=3)
+        assert self.reduction(alg, text) is CpuReduction.CLAUSE
+        assert errors_of(spec, text) == []
+
+    @pytest.mark.parametrize("alg", [Algorithm.PR, Algorithm.TC],
+                             ids=lambda a: a.value)
+    def test_unused_local_acc_does_not_read_clause(self, alg):
+        spec = spec_for(alg, Model.CPP_THREADS,
+                        cpu_reduction=CpuReduction.ATOMIC)
+        text = generate_source(spec)
+        anchor = "parallel_step([&](int tid) {"
+        text = text.replace(
+            anchor, anchor + "\n      long long local_acc = 0;"
+        )
+        assert "local_acc" in text
+        assert self.reduction(alg, text) is CpuReduction.ATOMIC
+
+
 class TestReductionFromStructure:
     """An OpenMP reduction is the ``+`` clause the pragma parser splits,
     however the clause is spaced."""

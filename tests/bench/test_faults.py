@@ -36,6 +36,7 @@ from repro.runtime.errors import (
 )
 from repro.runtime.verify import VerificationError
 from repro.styles import Algorithm
+from tests.bench import sweep_oracle
 
 pytestmark = pytest.mark.faults
 
@@ -49,7 +50,7 @@ REDUCED = SweepConfig(
 @pytest.fixture(scope="module")
 def clean():
     """The fault-free serial sweep every fault run is compared against."""
-    return run_sweep(REDUCED)
+    return sweep_oracle.run_sweep(REDUCED)
 
 
 def arm(monkeypatch, *rules):
@@ -388,23 +389,16 @@ class TestStorageIntegrity:
 
 
 class TestSupervisionConfig:
-    def test_default_workers_capped_by_block_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+    def test_default_workers_capped_by_block_count(self):
         assert resolve_workers(None, 2) <= 2
-        assert resolve_workers(None, 10_000) == (__import__("os").cpu_count() or 1)
+        assert resolve_workers(None, 10_000) == (os.cpu_count() or 1)
 
-    def test_explicit_env_wins_over_block_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "7")
-        assert resolve_workers(None, 2) == 7
+    def test_explicit_workers_win_over_block_cap(self):
+        assert resolve_workers(7, 2) == 7
 
-    def test_block_timeout_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK_TIMEOUT", raising=False)
+    def test_block_timeout_default_and_validation(self):
         assert resolve_block_timeout(None) is None
-        monkeypatch.setenv("REPRO_BLOCK_TIMEOUT", "2.5")
-        assert resolve_block_timeout(None) == 2.5
-        monkeypatch.setenv("REPRO_BLOCK_TIMEOUT", "nope")
-        with pytest.raises(ValueError):
-            resolve_block_timeout(None)
+        assert resolve_block_timeout(2.5) == 2.5
         with pytest.raises(ValueError):
             resolve_block_timeout(-1.0)
 
@@ -440,7 +434,9 @@ class TestCliFaultTolerance:
         # it must NOT appear in the manifest
         assert "crash" not in captured.err
         # healthy rows are bit-identical to a fault-free serial sweep
-        clean_bfs = run_sweep(SweepConfig(scale="tiny", algorithms=(Algorithm.BFS,)))
+        clean_bfs = sweep_oracle.run_sweep(
+            SweepConfig(scale="tiny", algorithms=(Algorithm.BFS,))
+        )
         clean_rows = {
             f"{r.spec.model.value},{r.spec.algorithm.value},{r.spec.label()},"
             f"{r.graph},{r.device},{r.seconds:.6e},{r.throughput_ges:.6f},"

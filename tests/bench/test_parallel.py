@@ -3,6 +3,7 @@ content-addressed result cache."""
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,9 @@ from repro.machine import (
     model_for_device,
 )
 from repro.runtime import Launcher, VerificationError
+from repro.serve.jobs import SweepJob, execute_job_inline, summarize_runs
 from repro.styles import Algorithm, Model, enumerate_specs
+from tests.bench import sweep_oracle
 from tests.machine import scalar_oracle
 
 REDUCED = SweepConfig(
@@ -115,19 +118,25 @@ class TestParallelSweep:
         ]
 
     def test_parallel_matches_serial(self):
-        serial = run_sweep(REDUCED)
+        serial = sweep_oracle.run_sweep(REDUCED)
         parallel = run_sweep_parallel(REDUCED, workers=2)
         assert run_signature(parallel) == run_signature(serial)
 
     def test_workers_one_falls_back_to_serial(self):
-        serial = run_sweep(REDUCED)
-        fallback = run_sweep_parallel(REDUCED, workers=1)
-        assert run_signature(fallback) == run_signature(serial)
+        serial = sweep_oracle.run_sweep(REDUCED)
+        for fallback in (
+            run_sweep_parallel(REDUCED, workers=1), run_sweep(REDUCED)
+        ):
+            assert run_signature(fallback) == run_signature(serial)
+            assert fallback.kernel_executions == serial.kernel_executions
 
     def test_run_block_is_the_serial_block_body(self):
         block = partition_blocks(REDUCED)[0]
         runs = run_block_outcome(block).runs
-        serial = run_sweep(block.config)
+        serial = sweep_oracle.run_sweep(replace(
+            block.config,
+            algorithms=(block.algorithm,), graphs=(block.graph_name,),
+        ))
         assert runs == serial.runs
 
     def test_progress_reports_every_block(self):
@@ -153,8 +162,8 @@ class TestParallelSweep:
             ),
         }
         config = SweepConfig(scale="tiny", algorithms=(Algorithm.BFS,))
-        serial = run_sweep(config, graphs=graphs)
-        for workers in (2, 8):  # whole blocks, then semantic shards
+        serial = sweep_oracle.run_sweep(config, graphs=graphs)
+        for workers in (1, 2, 8):  # in process, whole blocks, shards
             parallel = run_sweep_parallel(
                 config, workers=workers, graphs=graphs
             )
@@ -174,14 +183,48 @@ class TestParallelSweep:
             return execute(self, spec, graph)
 
         monkeypatch.setattr(Launcher, "execute_semantic", failing)
-        serial = run_sweep(config, graphs=graphs)
+        serial = sweep_oracle.run_sweep(config, graphs=graphs)
         assert serial.runs and serial.failures
         assert {r.graph for r in serial.runs} == {"custom"}
         assert {f.graph for f in serial.failures} == {"custom"}
         assert len(list(serial.select(graphs=["custom"]))) == len(serial.runs)
-        parallel = run_sweep_parallel(config, workers=2, graphs=graphs)
-        assert run_signature(parallel) == run_signature(serial)
-        assert parallel.failures == serial.failures
+        for workers in (1, 2, 8):
+            parallel = run_sweep_parallel(
+                config, workers=workers, graphs=graphs
+            )
+            assert run_signature(parallel) == run_signature(serial)
+            assert parallel.failures == serial.failures
+
+    def test_serve_job_summarizes_the_serial_sweep(self, monkeypatch):
+        # A served sweep job runs the same blocks: its summary equals the
+        # one of the serial loop's runs and failures over the job's graph.
+        graph = load_dataset("USA-road-d.NY", "tiny")
+        config = SweepConfig(
+            scale="tiny", algorithms=(Algorithm.BFS, Algorithm.PR),
+            trace_cache=False,
+        )
+        broken = enumerate_specs(Algorithm.PR, Model.OPENMP)[0].semantic_key()
+        execute = Launcher.execute_semantic
+
+        def failing(self, spec, graph):
+            if spec.semantic_key() == broken:
+                raise VerificationError("injected")
+            return execute(self, spec, graph)
+
+        monkeypatch.setattr(Launcher, "execute_semantic", failing)
+        serial = sweep_oracle.run_sweep(config, graphs={graph.name: graph})
+        assert serial.failures
+        job = SweepJob(
+            graph=graph,
+            algorithms=config.algorithms,
+            models=config.models,
+            gpu_names=config.gpu_names,
+            cpu_names=config.cpu_names,
+            trace_cache=False,
+        )
+        assert execute_job_inline(job) == summarize_runs(
+            serial.runs, serial.failures, serial.kernel_executions
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_builds_each_named_input_once_in_the_supervisor(
@@ -201,10 +244,8 @@ class TestParallelSweep:
             f"{os.getpid()} {name}" for name in REDUCED.graphs
         )
 
-    def test_resolve_workers(self, monkeypatch):
+    def test_resolve_workers(self):
         assert resolve_workers(3) == 3
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "5")
-        assert resolve_workers(None) == 5
         with pytest.raises(ValueError):
             resolve_workers(0)
 
@@ -230,7 +271,7 @@ class TestSemanticShards:
             assert all(s.graph is block.graph for s in mine)
 
     def test_sharded_parallel_matches_serial(self):
-        serial = run_sweep(REDUCED)
+        serial = sweep_oracle.run_sweep(REDUCED)
         sharded = run_sweep_parallel(REDUCED, workers=8)
         assert run_signature(sharded) == run_signature(serial)
         assert sharded.kernel_executions == serial.kernel_executions
@@ -243,8 +284,8 @@ class TestSemanticShards:
         block = partition_blocks(REDUCED)[0]
         n = 3
         shards = [replace(block, shard=s, n_shards=n) for s in range(n)]
-        order = semantic_shard_order(block.algorithm, block.models)
-        for model in block.models:
+        order = semantic_shard_order(block.algorithm, block.config.models)
+        for model in block.config.models:
             full = enumerate_specs(block.algorithm, model)
             pieces = [shard.specs_for(model) for shard in shards]
             # Disjoint, exhaustive, and grouped by semantic key.
@@ -274,7 +315,7 @@ class TestWorkStealing:
         # One shard per semantic group of each block.
         for block in blocks:
             n_groups = len(
-                semantic_shard_order(block.algorithm, block.models)
+                semantic_shard_order(block.algorithm, block.config.models)
             )
             shards = [b for b in fine_8 if b.graph_name == block.graph_name
                       and b.algorithm is block.algorithm]
@@ -282,7 +323,7 @@ class TestWorkStealing:
             assert [s.shard for s in shards] == list(range(n_groups))
 
     def test_stealing_matches_serial_at_every_worker_count(self):
-        serial = run_sweep(REDUCED)
+        serial = sweep_oracle.run_sweep(REDUCED)
         for workers in (2, 16):
             stolen = run_sweep_parallel(REDUCED, workers=workers)
             assert run_signature(stolen) == run_signature(serial)

@@ -13,7 +13,6 @@ import pytest
 from repro.bench import faults
 from repro.bench.faults import (
     FAULTS_ENV,
-    WORKER_ENV,
     FaultInjected,
     active_rules,
     inject_enqueue_fault,
@@ -53,10 +52,9 @@ def test_reject_enqueue_respects_attempt_window(monkeypatch):
 
 
 def test_kill_executor_is_inert_outside_workers(monkeypatch):
-    """The kill action must only fire where the worker guard is set —
-    in the service process it is a no-op, never a self-kill."""
+    """The kill action must only fire in a pool worker — in the service
+    process it is a no-op, never a self-kill."""
     arm(monkeypatch, {"action": "kill-executor"})
-    monkeypatch.delenv(WORKER_ENV, raising=False)
     inject_executor_fault("bfs", "g", 1)  # still alive == pass
 
 

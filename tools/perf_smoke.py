@@ -109,18 +109,20 @@ RECORDED_BATCHED_SECONDS = 0.026511
 def sweep_batch_calls() -> dict:
     """Count the timing models' batch calls of a warm tiny full sweep.
 
-    A cold sweep fills a temporary trace store; the warm sweep that
-    follows runs with ``GPUModel``/``CPUModel.time_trace_batch`` wrapped
-    to count calls and cells.
+    A cold sweep fills a temporary trace store (``$REPRO_TRACE_CACHE``
+    points there for both sweeps); the warm sweep that follows runs with
+    ``GPUModel``/``CPUModel.time_trace_batch`` wrapped to count calls and
+    cells.
     """
     import shutil
 
-    from repro.bench import SweepConfig, TraceStore, run_sweep
+    from repro.bench import SweepConfig, run_sweep
+    from repro.bench.tracestore import TRACE_CACHE_ENV
     from repro.machine import CPUModel, GPUModel
-    from repro.runtime import Launcher
 
     config = SweepConfig(scale="tiny")
     tmp = tempfile.mkdtemp(prefix="repro-batch-calls-")
+    previous = os.environ.get(TRACE_CACHE_ENV)
     cells = []
 
     def counting(real):
@@ -129,20 +131,20 @@ def sweep_batch_calls() -> dict:
             return real(model, block, batch)
         return time_trace_batch
 
-    def sweep():
-        return run_sweep(config, launcher=Launcher(
-            verify=config.verify, trace_store=TraceStore(tmp)
-        ))
-
     originals = {cls: cls.time_trace_batch for cls in (GPUModel, CPUModel)}
+    os.environ[TRACE_CACHE_ENV] = tmp
     try:
-        sweep()
+        run_sweep(config)
         for cls, real in originals.items():
             cls.time_trace_batch = counting(real)
-        warm = sweep()
+        warm = run_sweep(config)
     finally:
         for cls, real in originals.items():
             cls.time_trace_batch = real
+        if previous is None:
+            os.environ.pop(TRACE_CACHE_ENV, None)
+        else:
+            os.environ[TRACE_CACHE_ENV] = previous
         shutil.rmtree(tmp, ignore_errors=True)
     return {
         "blocks": len(config.algorithms) * len(warm.graphs),
