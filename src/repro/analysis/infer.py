@@ -315,13 +315,18 @@ def _infer_cpu_reduction(ir: SourceIR, model: Model) -> CpuReduction:
     if model is Model.OPENMP:
         if any(r.reduction and r.reduction[0] == "+" for r in ir.regions):
             return CpuReduction.CLAUSE
-        for region in ir.regions:
-            for a in region.accesses:
-                if (
-                    a.guard.value == "critical"
-                    and "contribution" in a.rhs
-                ):
-                    return CpuReduction.CRITICAL
+        # A critical section that adds to a shared scalar stores an
+        # expression reading that scalar (``err + (contribution)``); a
+        # flag store (``changed = 1``) does not.
+        if any(
+            a.guard is Guard.CRITICAL
+            and a.kind is AccessKind.ATOMIC_RMW
+            and a.index_class is IndexClass.SCALAR
+            and re.search(rf"\b{re.escape(a.array)}\b", a.rhs)
+            for r in ir.regions
+            for a in r.accesses
+        ):
+            return CpuReduction.CRITICAL
         return CpuReduction.ATOMIC
     # The clause equivalent adds a per-thread partial, a local the thread
     # declares before its item loop, to the shared accumulator once.

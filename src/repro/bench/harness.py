@@ -67,6 +67,10 @@ class PredictSettings:
     executions per (algorithm, graph) block — the quantity that actually
     costs kernel runs — by dropping the lowest-ranked selections;
     ``None`` leaves the selection uncapped.
+
+    The sweep engine runs each block through
+    :func:`repro.bench.predictor.predicted_block_runs`, at any worker
+    count; the report lands in ``StudyResults.prediction``.
     """
 
     top_k: int = 8
@@ -103,9 +107,9 @@ class SweepConfig:
     #: part of the sweep cache key — results are bit-identical either way.
     trace_cache: bool = True
     #: Predict-then-verify pruning (:class:`PredictSettings`); ``None``
-    #: (the default) sweeps exhaustively.  *Is* part of the sweep cache
-    #: key — a pruned sweep's back-filled cells are estimates, not
-    #: measurements.
+    #: (the default) sweeps exhaustively.  A pruned sweep never reads or
+    #: writes the result cache: its back-filled cells depend on the
+    #: predictor artifact's contents, which the cache key cannot see.
     predict: Optional[PredictSettings] = None
 
     def devices_for(self, model: Model) -> List[DeviceSpec]:
@@ -418,18 +422,11 @@ def run_sweep(
     The blocks run in order through the sweep engine's in-process path
     (:func:`repro.bench.parallel.run_sweep_parallel` with ``workers=1``):
     a variant that fails costs its own grid cells and a block that fails
-    is quarantined, both into the failure manifest.
-
-    With ``config.predict`` set, the sweep is delegated to the
-    predict-then-verify engine (:func:`repro.bench.predictor.run_sweep_predicted`):
-    only the predicted-fastest variants plus an audit sample execute, the
-    rest are back-filled with predictions.
+    is quarantined, both into the failure manifest.  With
+    ``config.predict`` set, every block runs predict-then-verify (see
+    :class:`PredictSettings`).
     """
-    # Imported late: both engines build on this module.
-    if config.predict is not None:
-        from .predictor import run_sweep_predicted
-
-        return run_sweep_predicted(config, graphs=graphs)
+    # Imported late: the engine builds on this module.
     from .parallel import run_sweep_parallel
 
     return run_sweep_parallel(config, workers=1, graphs=graphs)

@@ -18,6 +18,10 @@ every mapping variant and device of that combination staying with its
 shard.  Shard results are reassembled in the serial run order, so the
 split changes wall-clock time and nothing else.
 
+A pruned sweep (``SweepConfig.predict``) is the same engine: the
+supervisor resolves the style predictor once, before the first fork, and
+every block runs predict-then-verify on it as one unit, never sharded.
+
 Blocks and shards run through the package's one supervised worker pool
 (:class:`repro.runtime.workers.WorkerPool`).  Every whole block gets a
 freshly forked worker that exits after it, so the heap a big block leaves
@@ -77,6 +81,12 @@ from ..styles.combos import enumerate_specs
 from ..styles.spec import SemanticKey, StyleSpec
 from . import faults
 from .harness import StudyResults, SweepConfig, block_grid, sweep_block_runs
+from .predictor import (
+    PredictionSummary,
+    StylePredictor,
+    predicted_block_runs,
+    resolve_predictor,
+)
 
 __all__ = [
     "SweepBlock",
@@ -108,6 +118,8 @@ class BlockOutcome:
     failures: List[FailedRun] = field(default_factory=list)
     #: Kernels the block actually executed (trace-store hits excluded).
     kernel_executions: int = 0
+    #: A predicted block's cell statistics and semantic group counts.
+    prediction: Optional[PredictionSummary] = None
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,8 @@ class SweepBlock:
 
     ``graph`` is the object the supervisor built or the caller supplied
     under the key ``graph_name``; the block runs on it and never rebuilds
-    from the dataset registry.
+    from the dataset registry.  A block of a pruned sweep carries the
+    sweep's ``predictor`` and runs predict-then-verify.
     """
 
     algorithm: Algorithm
@@ -128,6 +141,7 @@ class SweepBlock:
     #: ``n_shards == 1`` means the whole block.
     shard: int = 0
     n_shards: int = 1
+    predictor: Optional[StylePredictor] = field(default=None, compare=False)
 
     def specs_for(self, model: Model) -> List[StyleSpec]:
         """This block's program variants of one model (shard-filtered)."""
@@ -186,14 +200,15 @@ def shard_blocks(blocks: List[SweepBlock], workers: int) -> List[SweepBlock]:
 
     Shards of one block stay adjacent and ordered, which is what lets
     :func:`run_sweep_parallel` reassemble serial run order.  The shard
-    count depends only on the block, not on ``workers``.
+    count depends only on the block, not on ``workers``.  A predicted
+    block is never split: its group selection spans the whole block.
     """
     if workers <= len(blocks):
         return blocks
     out: List[SweepBlock] = []
     for block in blocks:
         n = 1
-        if block.n_shards == 1:
+        if block.n_shards == 1 and block.predictor is None:
             n = len(semantic_shard_order(block.algorithm, block.config.models))
         if n <= 1:
             out.append(block)
@@ -208,7 +223,8 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
     A variant whose verification or execution fails becomes a
     :class:`FailedRun` in the outcome; the rest of the block still runs.
     Whole-block failures (including injected ones) propagate to the
-    supervisor, which owns the retry policy.
+    supervisor, which owns the retry policy.  A predicted block returns
+    its pruning report as ``outcome.prediction``.
     """
     faults.inject_block_fault(block.algorithm.value, block.graph_name, attempt)
     graph = block.graph
@@ -220,15 +236,21 @@ def run_block_outcome(block: SweepBlock, attempt: int = 0) -> BlockOutcome:
     )
     faults.apply_verify_faults(launcher, block, attempt)
     outcome = BlockOutcome()
-    specs, devices = block_grid(
-        config.models, block.specs_for, config.devices_for
-    )
-    outcome.runs.extend(
-        sweep_block_runs(
+    if block.predictor is None:
+        specs, devices = block_grid(
+            config.models, block.specs_for, config.devices_for
+        )
+        runs = sweep_block_runs(
             launcher, specs, graph, devices, failures=outcome.failures,
             graph_label=block.graph_name,
         )
-    )
+    else:
+        outcome.prediction = PredictionSummary(settings=config.predict)
+        runs = predicted_block_runs(
+            launcher, block.algorithm, graph, block.graph_name, config,
+            block.predictor, outcome.failures, outcome.prediction,
+        )
+    outcome.runs.extend(runs)
     launcher.release(graph, block.algorithm)
     outcome.kernel_executions = launcher.kernel_executions
     return outcome
@@ -327,6 +349,10 @@ def run_sweep_parallel(
     When workers outnumber the (algorithm, graph) blocks, the surplus is
     absorbed by semantic shards (see the module docstring): blocks split
     into one unit per semantic group and idle workers pull the next one.
+
+    With ``config.predict`` set, the blocks' pruning reports merge, in
+    block order, into ``results.prediction``; without a usable artifact
+    the sweep runs exhaustively and the manifest's first entry says why.
     """
     block_timeout = resolve_block_timeout(block_timeout)
     if max_retries < 0:
@@ -335,7 +361,12 @@ def run_sweep_parallel(
         graphs = load_all(config.scale, names=config.graphs)
     else:
         graphs = dict(graphs)
+    predictor = reason = None
+    if config.predict is not None:
+        predictor, reason = resolve_predictor(config.predict.model_path)
     blocks = partition_blocks(config, graphs)
+    if predictor is not None:
+        blocks = [replace(block, predictor=predictor) for block in blocks]
     workers = resolve_workers(workers, len(blocks))
     blocks = shard_blocks(blocks, workers)
     total = len(blocks)
@@ -390,6 +421,10 @@ def run_sweep_parallel(
     # which is what keeps the parallel path bit-identical to the serial
     # one regardless of worker count.
     results = StudyResults(graphs=graphs)
+    if config.predict is not None:
+        results.prediction = _prediction_summary(
+            results, config, predictor, reason
+        )
     index = 0
     while index < total:
         block = blocks[index]
@@ -404,12 +439,39 @@ def run_sweep_parallel(
             for failure in outcome.failures:
                 results.add_failure(failure)
             results.kernel_executions += outcome.kernel_executions
+            if outcome.prediction is not None:
+                summary = results.prediction
+                summary.cells.extend(outcome.prediction.cells)
+                summary.groups_total += outcome.prediction.groups_total
+                summary.groups_executed += outcome.prediction.groups_executed
         if block.n_shards > 1:
             positions = _canonical_positions(block)
             runs.sort(key=lambda run: positions[(run.spec, run.device)])
         for run in runs:
             results.add(run)
     return results
+
+
+def _prediction_summary(
+    results: StudyResults,
+    config: SweepConfig,
+    predictor: Optional[StylePredictor],
+    reason: Optional[str],
+) -> PredictionSummary:
+    """A pruned sweep's empty report; without a predictor, the sweep ran
+    exhaustively and the manifest's first entry says why."""
+    summary = PredictionSummary(settings=config.predict)
+    if predictor is not None:
+        summary.model_info = {"available": True, **predictor.training}
+        return summary
+    summary.model_info = {"available": False, "reason": reason}
+    message = f"predictor unavailable ({reason}); ran exhaustively"
+    results.add_failure(FailedRun(
+        algorithm="*", graph="*", error_class=ErrorClass.CHECKPOINT,
+        message=message, digest=error_digest(ErrorClass.CHECKPOINT, message),
+        stage="predictor",
+    ))
+    return summary
 
 
 def _canonical_positions(

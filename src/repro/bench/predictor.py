@@ -30,14 +30,17 @@ that prunes the sweep itself:
   tmp + rename writes, quarantine-on-corruption.  ``$REPRO_PREDICTOR``
   overrides the path (``0``/empty disables prediction outright).
 
-* **Predict-then-verify sweeps** — :func:`run_sweep_predicted` ranks
+* **Predict-then-verify blocks** — :func:`predicted_block_runs` ranks
   each cell's variants by predicted time, executes only the top-k plus
   a seeded audit sample, back-fills the rest with predictions
   (``RunResult.predicted = True``), and reports per-cell regret bounds
   and audit error in :class:`PredictionSummary` (at-risk cells also land
-  in the failure manifest).  A missing/corrupt/mismatched artifact
-  degrades to the exhaustive sweep with a manifest entry — pruning is an
-  optimization, never a correctness dependency.
+  in the failure manifest).  The sweep engine
+  (:func:`repro.bench.parallel.run_sweep_parallel`) runs it for every
+  block of a sweep with ``SweepConfig.predict`` set; a
+  missing/corrupt/mismatched artifact degrades the sweep to exhaustive
+  execution with a manifest entry — pruning is an optimization, never a
+  correctness dependency.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -97,7 +101,7 @@ __all__ = [
     "resolve_predictor",
     "CellPrediction",
     "PredictionSummary",
-    "run_sweep_predicted",
+    "predicted_block_runs",
 ]
 
 DeviceSpec = Union[GPUSpec, CPUSpec]
@@ -931,14 +935,6 @@ class PredictionSummary:
         return "\n".join(lines)
 
 
-def _props_features(graph: CSRGraph, memo: Dict[str, Mapping[str, float]]):
-    feats = memo.get(graph.fingerprint())
-    if feats is None:
-        feats = analyze(graph).features()
-        memo[graph.fingerprint()] = feats
-    return feats
-
-
 def _cell_audit_rng(
     settings: PredictSettings,
     algorithm: Algorithm,
@@ -953,96 +949,36 @@ def _cell_audit_rng(
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def run_sweep_predicted(
-    config: SweepConfig,
-    *,
-    graphs: Optional[Dict[str, CSRGraph]] = None,
-    predictor: Optional[StylePredictor] = None,
-) -> StudyResults:
-    """Run ``config`` as a predict-then-verify sweep.
-
-    Per cell, the predictor ranks all variants; the top-k and a seeded
-    audit sample execute for real (sharing semantic traces across models
-    and devices exactly like the exhaustive path), everything else is
-    back-filled as a ``predicted`` run.  Cells the model never trained on
-    — and the whole sweep when no usable artifact exists — fall back to
-    exhaustive execution, with a manifest entry explaining why.
-    """
-    settings = config.predict
-    if settings is None:
-        raise ValueError("run_sweep_predicted needs SweepConfig.predict set")
-    if graphs is None:
-        from ..graph.datasets import load_all
-
-        graphs = load_all(config.scale, names=config.graphs)
-    if predictor is None:
-        predictor, reason = resolve_predictor(settings.model_path)
-        if predictor is None:
-            # No usable model: degrade to the exhaustive sweep, visibly.
-            from .harness import run_sweep
-
-            message = f"predictor unavailable ({reason}); ran exhaustively"
-            results = run_sweep(replace(config, predict=None), graphs=graphs)
-            results.failures.insert(
-                0,
-                FailedRun(
-                    algorithm="*",
-                    graph="*",
-                    error_class=ErrorClass.CHECKPOINT,
-                    message=message,
-                    digest=error_digest(ErrorClass.CHECKPOINT, message),
-                    stage="predictor",
-                ),
-            )
-            summary = PredictionSummary(settings=settings)
-            summary.model_info = {"available": False, "reason": reason}
-            results.prediction = summary
-            return results
-    launcher = Launcher(
-        verify=config.verify,
-        budget=config.budget(),
-        trace_store=config.trace_store(),
-    )
-    results = StudyResults(graphs=dict(graphs))
-    summary = PredictionSummary(settings=settings)
-    summary.model_info = {"available": True, **predictor.training}
-    feature_memo: Dict[str, Mapping[str, float]] = {}
-    for algorithm in config.algorithms:
-        per_model_specs = {
-            model: enumerate_specs(algorithm, model) for model in config.models
-        }
-        for graph_key, graph in graphs.items():
-            gfeat = _props_features(graph, feature_memo)
-            for run in _predicted_block(
-                launcher, algorithm, per_model_specs, graph, graph_key, gfeat,
-                config, settings, predictor, results.failures, summary,
-            ):
-                results.add(run)
-            launcher.release(graph, algorithm)
-    results.kernel_executions = launcher.kernel_executions
-    results.prediction = summary
-    return results
-
-
-def _predicted_block(
+def predicted_block_runs(
     launcher: Launcher,
     algorithm: Algorithm,
-    per_model_specs: Dict[Model, List[StyleSpec]],
     graph: CSRGraph,
     graph_label: str,
-    gfeat: Mapping[str, float],
     config: SweepConfig,
-    settings: PredictSettings,
     predictor: StylePredictor,
     failures: List[FailedRun],
     summary: PredictionSummary,
-):
-    """Plan, execute, back-fill, and account one (algorithm, graph) block.
+) -> Iterator[RunResult]:
+    """Plan, execute, back-fill, and account one (algorithm, graph) block
+    of the predict-then-verify sweep ``config.predict`` describes.
+
+    Per cell, ``predictor`` ranks all variants; the top-k and a seeded
+    audit sample execute for real (sharing semantic traces across models
+    and devices exactly like the exhaustive path), everything else is
+    back-filled as a ``predicted`` run.  Cells the model never trained on
+    select every variant (``max_groups`` still cuts them).  Failures
+    (variant failures and at-risk cells) are appended to ``failures``;
+    cell statistics and semantic group counts to ``summary``.
 
     Runs, cell statistics and failures name the graph ``graph_label``, the
     key the caller's ``graphs`` mapping holds it under; the audit sample
     is seeded by ``graph.name``, so the key changes only the labels.
     """
+    settings = config.predict
+    gfeat = analyze(graph).features()
+    per_model_specs = {
+        model: enumerate_specs(algorithm, model) for model in config.models
+    }
     # -- plan: per-cell variant selection ------------------------------
     plans = []  # (model, devices, specs, P, per-device (chosen, audit))
     for model, specs in per_model_specs.items():

@@ -153,7 +153,8 @@ def code_fingerprint() -> str:
 
 
 def sweep_cache_key(config: SweepConfig) -> str:
-    """Content address of one sweep: config + scale + code fingerprint."""
+    """Content address of one sweep: config + scale + code fingerprint
+    (``config.predict`` excluded: pruned sweeps are never cached)."""
     payload = {
         "code": code_fingerprint(),
         "scale": config.scale,
@@ -165,19 +166,6 @@ def sweep_cache_key(config: SweepConfig) -> str:
         "verify": config.verify,
         "max_footprint_bytes": config.max_footprint_bytes,
     }
-    # Pruned sweeps back-fill cells with predictions — a different result
-    # set than an exhaustive sweep, so the settings join the key.  Absent
-    # (the default) contributes nothing, keeping pre-existing exhaustive
-    # keys unchanged.
-    if config.predict is not None:
-        p = config.predict
-        payload["predict"] = {
-            "top_k": p.top_k,
-            "audit_frac": p.audit_frac,
-            "audit_seed": p.audit_seed,
-            "max_groups": p.max_groups,
-            "model_path": p.model_path,
-        }
     serialized = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(serialized).hexdigest()
 
@@ -216,10 +204,13 @@ def cached_sweep(
     written atomically, so concurrent processes at worst duplicate work,
     never corrupt the cache.  ``refresh=True`` bypasses the lookup but
     still refreshes the entry; ``runner`` overrides how the sweep is
-    executed (used by tests).
+    executed (used by tests).  A pruned sweep (``config.predict``)
+    bypasses the cache: its rows depend on the predictor artifact's
+    contents, which the key cannot see.
     """
     path = sweep_cache_path(config, cache_dir)
-    if not refresh and path.exists():
+    cacheable = config.predict is None
+    if cacheable and not refresh and path.exists():
         try:
             return load_results(path)
         except (ValueError, OSError, pickle.PickleError, EOFError) as exc:
@@ -236,7 +227,7 @@ def cached_sweep(
     # be transient (a killed worker, a timeout under load); caching it
     # would pin the gap.  Per-variant failures are deterministic kernel
     # bugs and cache fine.
-    if any(f.stage == "block" for f in results.failures):
+    if not cacheable or any(f.stage == "block" for f in results.failures):
         return results
     path.parent.mkdir(parents=True, exist_ok=True)
     # Advisory cache-directory lock: concurrent sweeps (or servers) on one

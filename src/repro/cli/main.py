@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="predict-then-verify mode: rank variants with the trained "
              "style predictor, execute only the top-k plus an audit "
              "sample per cell, back-fill the rest as predictions "
-             "(runs serially; see docs/reproduce.md §3f)",
+             "(takes --workers/--block-timeout/--max-retries like any "
+             "sweep; see docs/reproduce.md §3f)",
     )
     sweep.add_argument(
         "--top-k", type=int, default=8, metavar="K",
@@ -461,37 +462,30 @@ def _report_failures(results) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    from ..bench.harness import PredictSettings, SweepConfig, run_sweep
+    from ..bench.harness import PredictSettings, SweepConfig
     from ..bench.parallel import run_sweep_parallel, stderr_progress
 
+    predict = None
+    if args.predict:
+        predict = PredictSettings(
+            top_k=args.top_k,
+            audit_frac=args.audit_frac,
+            audit_seed=args.audit_seed,
+            max_groups=args.max_groups,
+            model_path=args.predictor,
+        )
     config = SweepConfig(
         scale=args.scale,
         models=(Model(args.model),) if args.model else tuple(Model),
         algorithms=(Algorithm(args.algorithm),) if args.algorithm else tuple(Algorithm),
         trace_cache=not args.no_trace_cache,
+        predict=predict,
     )
-    if args.predict:
-        from dataclasses import replace
-
-        config = replace(
-            config,
-            predict=PredictSettings(
-                top_k=args.top_k,
-                audit_frac=args.audit_frac,
-                audit_seed=args.audit_seed,
-                max_groups=args.max_groups,
-                model_path=args.predictor,
-            ),
-        )
-        # The pruned sweep executes a handful of kernels per block, so
-        # the multi-process machinery would cost more than it saves.
-        results = run_sweep(config)
-        if results.prediction is not None:
-            print(results.prediction.render(), file=sys.stderr)
-    else:
-        results = run_sweep_parallel(
-            config, progress=stderr_progress, **_supervision_kwargs(args)
-        )
+    results = run_sweep_parallel(
+        config, progress=stderr_progress, **_supervision_kwargs(args)
+    )
+    if results.prediction is not None:
+        print(results.prediction.render(), file=sys.stderr)
     print(
         "model,algorithm,variant,graph,device,seconds,throughput_ges,"
         "iterations,predicted"

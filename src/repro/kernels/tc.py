@@ -18,7 +18,6 @@ edge-based style's advantage on skewed graphs, Section 5.2) comes from.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from ..graph.csr import CSRGraph
 from ..machine.trace import ExecutionTrace, IterationProfile
@@ -48,6 +47,10 @@ class TriangleCountKernel:
         n = graph.n_vertices
         #: forward degree |N+(v)| of every vertex.
         self.fdeg = np.bincount(self._fsrc, minlength=n).astype(np.int64)
+        # Imported here: scipy costs about 0.14 s to import, and only TC
+        # kernels need it.
+        from scipy import sparse
+
         self._adj = sparse.csr_matrix(
             (np.ones(self._fsrc.size, dtype=np.int64), (self._fsrc, self._fdst)),
             shape=(n, n),

@@ -231,6 +231,33 @@ class TestLocalAccFromStructure:
         assert self.reduction(alg, text) is CpuReduction.ATOMIC
 
 
+class TestCriticalReductionFromStructure:
+    """An OpenMP critical-section reduction adds to a shared scalar
+    inside ``#pragma omp critical``; the added value's name carries no
+    evidence, and a critical flag store is no reduction."""
+
+    @pytest.mark.parametrize("alg, uses", [(Algorithm.PR, 2), (Algorithm.TC, 3)],
+                             ids=lambda a: getattr(a, "value", a))
+    def test_renamed_contribution_still_reads_critical(self, alg, uses):
+        spec = spec_for(alg, Model.OPENMP,
+                        cpu_reduction=CpuReduction.CRITICAL)
+        text = mutate(generate_source(spec), "contribution", "delta",
+                      count=uses)
+        inferred = infer_axes(alg, Model.OPENMP, parse_source(text))
+        assert inferred["cpu_reduction"] is CpuReduction.CRITICAL
+        assert errors_of(spec, text) == []
+
+    def test_critical_flag_store_is_not_a_reduction(self):
+        from repro.analysis.infer import _infer_cpu_reduction
+
+        spec = spec_for(Algorithm.SSSP, Model.OPENMP,
+                        update=Update.READ_MODIFY_WRITE)
+        text = generate_source(spec)
+        assert "#pragma omp critical" in text and "changed = 1;" in text
+        reduction = _infer_cpu_reduction(parse_source(text), Model.OPENMP)
+        assert reduction is CpuReduction.ATOMIC
+
+
 class TestReductionFromStructure:
     """An OpenMP reduction is the ``+`` clause the pragma parser splits,
     however the clause is spaced."""

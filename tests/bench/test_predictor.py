@@ -26,18 +26,23 @@ from repro.bench import (
     PredictorArtifactError,
     StylePredictor,
     SweepConfig,
+    cached_sweep,
     mine_results,
     mine_trace_store,
     resolve_predictor,
     run_sweep,
-    sweep_cache_key,
+    run_sweep_parallel,
 )
+from repro.bench.faults import FAULTS_ENV
 from repro.bench.harness import StudyResults
+from repro.bench.parallel import partition_blocks, shard_blocks
 from repro.bench.predictor import PREDICTOR_ENV, feature_names
 from repro.bench.tracestore import TraceStore
 from repro.cli.main import main
-from repro.graph import load_dataset
+from repro.graph import load_all, load_dataset
 from repro.styles import Algorithm, Model
+
+from . import predicted_sweep_oracle
 
 pytestmark = pytest.mark.predictor
 
@@ -55,6 +60,54 @@ def predictor(training_set):
 @pytest.fixture(scope="module")
 def artifact(predictor, tmp_path_factory):
     return predictor.save(tmp_path_factory.mktemp("predictor") / "model.json")
+
+
+def _subset(training_set, keep):
+    """The training rows whose metadata ``keep`` accepts."""
+    rows = [i for i, m in enumerate(training_set.meta) if keep(m)]
+    return dataclasses.replace(
+        training_set,
+        X=training_set.X[rows],
+        y_log_seconds=training_set.y_log_seconds[rows],
+        meta=[training_set.meta[i] for i in rows],
+    )
+
+
+@pytest.fixture(scope="module")
+def partial_artifact(training_set, tmp_path_factory):
+    """An artifact that covers every (algorithm, device) cell of the
+    tiny sweep but (sssp, Titan V)."""
+    ts = _subset(
+        training_set,
+        lambda m: (m["algorithm"], m["device"]) != ("sssp", "Titan V"),
+    )
+    predictor = StylePredictor.train(ts, seed=0, rounds=30)
+    assert not predictor.covers(Algorithm.SSSP, "Titan V")
+    return predictor.save(tmp_path_factory.mktemp("partial") / "model.json")
+
+
+def _identity_config(model_path, max_groups=6):
+    """2 algorithms x 2 tiny inputs, GPU and CPU models: audit samples,
+    a ``max_groups`` cut and (with ``partial_artifact``) an uncovered
+    cell in every SSSP block."""
+    return SweepConfig(
+        scale="tiny",
+        algorithms=(Algorithm.BFS, Algorithm.SSSP),
+        models=(Model.CUDA, Model.OPENMP),
+        graphs=("USA-road-d.NY", "soc-LiveJournal1"),
+        predict=PredictSettings(
+            top_k=3, audit_frac=0.1, max_groups=max_groups,
+            model_path=str(model_path),
+        ),
+    )
+
+
+def _prediction_signature(results):
+    summary = results.prediction
+    return (
+        summary.cells, summary.groups_total, summary.groups_executed,
+        summary.model_info,
+    )
 
 
 def _gate_config(predict=None):
@@ -206,25 +259,21 @@ def test_predicted_runs_are_labelled_by_graph_key(artifact, monkeypatch):
     ]
 
 
-def test_uncovered_cell_measures_exhaustively(training_set, monkeypatch):
+def test_uncovered_cell_measures_exhaustively(
+    training_set, tmp_path, monkeypatch
+):
     monkeypatch.delenv(PREDICTOR_ENV, raising=False)
     # A model trained only on BFS rows does not cover SSSP cells: the
     # sweep must measure them fully rather than extrapolate.
-    bfs_rows = [
-        i for i, m in enumerate(training_set.meta) if m["algorithm"] == "bfs"
-    ]
-    bfs_ts = dataclasses.replace(
-        training_set,
-        X=training_set.X[bfs_rows],
-        y_log_seconds=training_set.y_log_seconds[bfs_rows],
-        meta=[training_set.meta[i] for i in bfs_rows],
+    predictor = StylePredictor.train(
+        _subset(training_set, lambda m: m["algorithm"] == "bfs"),
+        seed=0, rounds=10,
     )
-    predictor = StylePredictor.train(bfs_ts, seed=0, rounds=10)
     assert not predictor.covers(Algorithm.SSSP, "RTX 3090")
-    config = _gate_config(PredictSettings(top_k=4))
-    from repro.bench.predictor import run_sweep_predicted
-
-    results = run_sweep_predicted(config, predictor=predictor)
+    path = predictor.save(tmp_path / "bfs-only.json")
+    config = _gate_config(PredictSettings(top_k=4, model_path=str(path)))
+    results = run_sweep(config)
+    assert results.prediction.model_info["available"] is True
     assert not any(run.predicted for run in results.runs)
     assert results.runs == run_sweep(_gate_config()).runs
 
@@ -257,14 +306,130 @@ def test_backfilled_rows_are_in_the_column_view(artifact, monkeypatch):
     )
 
 
-def test_predict_settings_join_the_sweep_cache_key(artifact):
-    base = _gate_config()
-    keys = {
-        sweep_cache_key(base),
-        sweep_cache_key(_gate_config(PredictSettings(top_k=4))),
-        sweep_cache_key(_gate_config(PredictSettings(top_k=8))),
-    }
-    assert len(keys) == 3
+def test_cached_sweep_reads_a_retrained_artifact(
+    predictor, training_set, tmp_path, monkeypatch
+):
+    """A pruned sweep's rows depend on the artifact's contents, not its
+    path: retraining at the same path must change what ``cached_sweep``
+    returns, and no pruned sweep is written to the cache."""
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    cache = tmp_path / "cache"
+    path = predictor.save(tmp_path / "model.json")
+    config = _gate_config(PredictSettings(top_k=4, model_path=str(path)))
+    first = cached_sweep(config, cache_dir=cache)
+    assert any(run.predicted for run in first.runs)
+    assert first.prediction is not None
+
+    StylePredictor.train(
+        _subset(training_set, lambda m: m["algorithm"] == "bfs"),
+        seed=0, rounds=10,
+    ).save(path)
+    second = cached_sweep(config, cache_dir=cache)
+    assert not any(run.predicted for run in second.runs)
+    assert second.runs == run_sweep(config).runs
+    assert not cache.exists()
+
+
+# ----------------------------------------------------------------------
+# One sweep engine: pruned sweeps equal the frozen serial loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "workers, max_groups", [(1, 6), (2, 6), (4, 6), (2, None)]
+)
+def test_pruned_sweep_matches_the_frozen_loop(
+    partial_artifact, workers, max_groups, monkeypatch
+):
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    config = _identity_config(partial_artifact, max_groups)
+    want = predicted_sweep_oracle.run_sweep_predicted(config)
+    got = run_sweep_parallel(config, workers=workers)
+    assert got.runs == want.runs
+    assert list(got.failures) == list(want.failures)
+    assert got.kernel_executions == want.kernel_executions
+    assert _prediction_signature(got) == _prediction_signature(want)
+    # The config exercises what it claims to.
+    summary = got.prediction
+    assert any(run.predicted for run in got.runs)
+    assert summary.groups_executed < summary.groups_total
+    assert sum(cell.n_audited for cell in summary.cells) > 0
+    uncovered = [
+        cell for cell in summary.cells
+        if (cell.algorithm, cell.device) == ("sssp", "Titan V")
+    ]
+    assert len(uncovered) == 2
+    if max_groups is None:
+        assert all(cell.n_predicted == 0 for cell in uncovered)
+
+
+def test_unusable_artifact_matches_the_frozen_fallback(tmp_path, monkeypatch):
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    config = _identity_config(tmp_path / "missing.json")
+    want = predicted_sweep_oracle.run_sweep_predicted(config)
+    got = run_sweep_parallel(config, workers=2)
+    assert got.runs == want.runs
+    assert list(got.failures) == list(want.failures)
+    assert got.failures[0].stage == "predictor"
+    assert got.kernel_executions == want.kernel_executions
+    assert _prediction_signature(got) == _prediction_signature(want)
+
+
+def test_parallel_pruned_sweep_backfills(artifact, monkeypatch):
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    config = _gate_config(
+        PredictSettings(top_k=4, max_groups=6, model_path=str(artifact))
+    )
+    results = run_sweep_parallel(config, workers=2)
+    assert results.prediction is not None
+    n_predicted = sum(run.predicted for run in results.runs)
+    assert n_predicted > 0
+    assert results.prediction.n_predicted == n_predicted
+
+
+def test_predicted_blocks_are_never_sharded(artifact):
+    predictor = StylePredictor.load(artifact)
+    config = _gate_config(PredictSettings(model_path=str(artifact)))
+    graphs = load_all("tiny", names=config.graphs)
+    blocks = [
+        dataclasses.replace(block, predictor=predictor)
+        for block in partition_blocks(config, graphs)
+    ]
+    assert shard_blocks(blocks, workers=8) == blocks
+    exhaustive = partition_blocks(_gate_config(), graphs)
+    assert len(shard_blocks(exhaustive, workers=8)) > len(exhaustive)
+
+
+@pytest.mark.faults
+def test_raising_predicted_block_is_quarantined(
+    partial_artifact, monkeypatch
+):
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    config = _identity_config(partial_artifact)
+    clean = run_sweep_parallel(config, workers=2)
+    monkeypatch.setenv(FAULTS_ENV, json.dumps([{
+        "action": "raise", "algorithm": "sssp", "graph": "USA-road-d.NY",
+    }]))
+    results = run_sweep_parallel(
+        config, workers=2, max_retries=0, retry_backoff=0.0
+    )
+
+    def elsewhere(algorithm, graph):
+        return (algorithm, graph) != ("sssp", "USA-road-d.NY")
+
+    blocks = [f for f in results.failures if f.stage == "block"]
+    assert [(f.algorithm, f.graph) for f in blocks] == [
+        ("sssp", "USA-road-d.NY")
+    ]
+    assert results.runs == [
+        run for run in clean.runs
+        if elsewhere(run.spec.algorithm.value, run.graph)
+    ]
+    assert [f for f in results.failures if f.stage != "block"] == [
+        f for f in clean.failures if elsewhere(f.algorithm, f.graph)
+    ]
+    assert results.prediction.cells == [
+        cell for cell in clean.prediction.cells
+        if elsewhere(cell.algorithm, cell.graph)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -362,3 +527,21 @@ def test_cli_export_train_info_predict(
     assert header.endswith(",predicted")
     assert any(line.endswith(",1") for line in captured.out.splitlines()[1:])
     assert "predict-then-verify" in captured.err
+
+
+def test_cli_predicted_sweep_is_worker_count_independent(
+    artifact, monkeypatch, capsys
+):
+    monkeypatch.delenv(PREDICTOR_ENV, raising=False)
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([
+            "--scale", "tiny", "sweep", "--algorithm", "sssp",
+            "--model", "cuda", "--predict", "--predictor", str(artifact),
+            "--workers", workers,
+        ]) == 0
+        captured = capsys.readouterr()
+        assert "predict-then-verify" in captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert any(line.endswith(",1") for line in outputs[0].splitlines()[1:])

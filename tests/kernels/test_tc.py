@@ -93,3 +93,27 @@ class TestWorkProfile:
         trace = TriangleCountKernel(small_random).run(sem()).trace
         assert trace.iterations == 1
         assert trace.n_launches == 1
+
+
+def test_importing_the_harness_leaves_scipy_unloaded():
+    """scipy is imported by the TC kernel that uses it, not at import
+    time of the package."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.bench.harness; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
